@@ -6,7 +6,7 @@
 // request latency plus rejected/shed counts straight from the registry.
 //
 // Flags: --clients --requests --n (words per request) --shards --slots
-//        --workers --capacity --coalesce --policy=block|reject|shed
+//        --workers --capacity (a full queue rejects) --coalesce
 //        --timeout-ms --backend=NAME (serve registry, docs/BACKENDS.md) --seed
 //        --inflight=K  async requests each client keeps outstanding
 //                      (K >= 2 exercises the pipelined serve path: a worker
@@ -130,7 +130,6 @@ void print_help() {
       "  --walk-len=N        expander walk length for the walk backends\n"
       "                      (default 8 for throughput; 32 is the\n"
       "                      battery-certified quality configuration)\n"
-      "  --policy=P          block|reject|shed (default block)\n"
       "  --timeout-ms=MS --seed=S\n"
       "wire mode (docs/NETWORK.md):\n"
       "  --listen=EP         host a NetServer in-process; clients use the\n"
@@ -426,12 +425,6 @@ int run_wire(const util::Cli& cli) {
     opts.walk_len = static_cast<int>(
         cli.get_u64("walk-len", static_cast<std::uint64_t>(opts.walk_len)));
     opts.seed = seed;
-    const std::string policy_name = cli.get_string("policy", "block");
-    if (!serve::parse_policy(policy_name, &opts.policy)) {
-      std::fprintf(stderr, "unknown --policy=%s (block|reject|shed)\n",
-                   policy_name.c_str());
-      return 2;
-    }
     opts.default_timeout =
         std::chrono::milliseconds(cli.get_u64("timeout-ms", 30000));
     opts.injector = injector.has_value() ? &*injector : nullptr;
@@ -836,12 +829,6 @@ int main(int argc, char** argv) {
   opts.walk_len = static_cast<int>(
       cli.get_u64("walk-len", static_cast<std::uint64_t>(opts.walk_len)));
   opts.seed = cli.get_u64("seed", 0x243F6A8885A308D3ull);
-  const std::string policy_name = cli.get_string("policy", "block");
-  if (!serve::parse_policy(policy_name, &opts.policy)) {
-    std::fprintf(stderr, "unknown --policy=%s (block|reject|shed)\n",
-                 policy_name.c_str());
-    return 2;
-  }
   opts.default_timeout =
       std::chrono::milliseconds(cli.get_u64("timeout-ms", 30000));
   apply_scenario(scenario, words, noisy_offered_words, &opts.tenants);
@@ -867,10 +854,9 @@ int main(int argc, char** argv) {
       "the on-demand generator serves many small consumers by coalescing "
       "their requests into batched pipeline rounds",
       util::strf("%d clients x %d requests x %zu words (%d in flight), "
-                 "%d %s shards, %d workers, queue %zu, policy %s",
+                 "%d %s shards, %d workers, queue %zu",
                  clients, requests, words, inflight, opts.num_shards,
-                 opts.backend.c_str(), opts.num_workers, opts.queue_capacity,
-                 policy_name.c_str())
+                 opts.backend.c_str(), opts.num_workers, opts.queue_capacity)
           .c_str());
   if (tenants_n > 1 || scenario != Scenario::kSteady) {
     std::printf("tenancy: %d tenants, zipf skew %.2f, scenario %s "

@@ -32,7 +32,7 @@
 //
 // Flags: --listen=EP[,EP...] (unix:PATH | tcp:HOST:PORT)
 //        --backend --shards --slots --workers --capacity --coalesce
-//        --policy=block|reject|shed --timeout-ms --seed
+//        --timeout-ms --seed
 //        --max-pending-fills --completers
 //        --restore-from=<path>     rebuild from a snapshot; listen
 //                                  endpoints come from <path>.net unless
@@ -97,7 +97,7 @@ void print_help() {
       "kernel-assigned)\n"
       "  --backend=%s\n"
       "  --shards=N --slots=N --workers=N --capacity=N --coalesce=N\n"
-      "  --policy=block|reject|shed --timeout-ms=MS --seed=S\n"
+      "  --timeout-ms=MS --seed=S\n"
       "  --max-pending-fills=N --completers=N\n"
       "  --restore-from=PATH    rebuild from a snapshot; endpoints come\n"
       "                         from PATH.net unless --listen is given\n"
@@ -242,12 +242,6 @@ int main(int argc, char** argv) {
     opts.queue_capacity = cli.get_u64("capacity", 256);
     opts.max_coalesce = cli.get_u64("coalesce", 8);
     opts.seed = cli.get_u64("seed", 0x243F6A8885A308D3ull);
-    const std::string policy_name = cli.get_string("policy", "block");
-    if (!serve::parse_policy(policy_name, &opts.policy)) {
-      std::fprintf(stderr, "serve_net: unknown --policy=%s\n",
-                   policy_name.c_str());
-      return 2;
-    }
     opts.default_timeout =
         std::chrono::milliseconds(cli.get_u64("timeout-ms", 30000));
     opts.injector = inj;

@@ -7,8 +7,9 @@
 // serve::RngService: kLease → try_open_session, kFill → Session::
 // fill_async (the request lands on the service's existing bounded MPMC
 // worker queue — the wire adds no second queue, so the serve layer's
-// block/reject/shed admission policy IS the network backpressure policy),
-// kAdopt → adopt_session / the orphan table, kCkpt → checkpoint.
+// full-queue rule, an immediate kRejected, IS the network backpressure;
+// fill_async never blocks the loop thread), kAdopt → adopt_session / the
+// orphan table, kCkpt → checkpoint.
 //
 // Threading: one event-loop thread owns every connection (read buffers,
 // write buffers, the lease→Session maps); `completer_threads` completion
@@ -65,7 +66,7 @@ struct ServerOptions {
   /// Per-connection in-flight fill window. The (N+1)th concurrent fill on
   /// one connection is shed with kError/kBackpressure instead of queueing
   /// — protocol-level backpressure in front of the service queue's own
-  /// admission policy.
+  /// full-queue rejection.
   std::size_t max_pending_fills = 64;
 
   /// Threads waiting on fill Tickets (each blocks on one fill at a time;

@@ -27,8 +27,8 @@ void bump(obs::Counter* c, double v = 1.0) {
 }
 
 /// prng::Generator over a leased serve stream — what feeds the tier-1/2
-/// batteries. Buffered in fixed chunks; a failed fill (shed scrub request,
-/// injected fault) latches !ok() and yields zeros, so the battery finishes
+/// batteries. Buffered in fixed chunks; a failed fill (rejected scrub
+/// request, injected fault) latches !ok() and yields zeros, so the battery finishes
 /// mechanically and the caller discards the verdict as a feed failure.
 /// The partial buffer is deliberately thrown away with the generator at
 /// every pass boundary — fetched words are accounted, so resuming from a
@@ -272,7 +272,6 @@ void QualityScrubber::open_fresh_streams() {
   streams_.resize(static_cast<std::size_t>(opts_.streams));
   for (StreamSlot& slot : streams_) {
     slot.session = service_.open_session();
-    slot.session.set_priority(opts_.priority);
     slot.lease_id = slot.session.lease().id;
   }
 }
@@ -344,7 +343,6 @@ bool QualityScrubber::try_restore() {
       slot.freq_p = 1.0;
       slot.corr_p = 1.0;
     }
-    slot.session.set_priority(opts_.priority);
   }
 
   std::lock_guard<std::mutex> lk(state_mu_);

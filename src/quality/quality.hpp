@@ -9,9 +9,8 @@
 // through the leased-substream path real traffic uses, because parallel
 // substream schemes fail statistically in ways a single offline stream
 // never shows. A QualityScrubber is that monitor: it leases real substreams
-// from an RngService (same queue, same admission policy, same backend
-// shards — just deeply negative shed priority) and scrubs them with a
-// tiered battery stack:
+// from an RngService (same queue, same admission rule, same backend
+// shards as client traffic) and scrubs them with a tiered battery stack:
 //
 //   tier 0 (smoke)  — every pass, per stream: byte-frequency chi-square +
 //                     lag-1 serial correlation over a fresh pass_words

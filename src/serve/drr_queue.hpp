@@ -1,7 +1,7 @@
 #pragma once
 
-// Tenant-aware bounded MPMC request queue for hprng::serve — the
-// weighted-fair successor of BoundedQueue (docs/QOS.md §5).
+// Tenant-aware bounded MPMC request queue for hprng::serve
+// (docs/QOS.md §5).
 //
 // Items land in per-tenant sub-queues (FIFO within a tenant); consumers
 // drain across tenants by deficit round-robin: each scheduler visit
@@ -19,19 +19,17 @@
 // the pop listener is byte-identical for ANY number of workers — the
 // property serve_qos_test pins across 0/1/3/8 workers.
 //
-// The admission surface (capacity, gate, close/wake, requeue_front,
-// eviction sweeps, size listener) matches BoundedQueue so RngService's
-// policies work unchanged.
+// Admission is one non-blocking rule: try_push() reports kFull at
+// capacity and the caller rejects (docs/SERVING.md §4). Nothing ever
+// waits for queue space, and nothing already queued is evicted.
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -41,14 +39,16 @@ namespace hprng::serve {
 template <typename T>
 class DrrQueue {
  public:
-  enum class PushResult { kOk, kFull, kTimeout, kClosed };
+  enum class PushResult { kOk, kFull, kClosed };
 
   /// Classifier / cost accessors are intrinsic to the item type; the
   /// weight function is consulted at every scheduler visit (so policy
   /// changes apply to already-queued work). All three are called under
   /// the queue mutex and must not touch the queue re-entrantly.
   /// @param capacity maximum queued items (all tenants) before kFull.
-  /// @param gate optional pause flag, as in BoundedQueue.
+  /// @param gate optional pause flag: while *gate is true, pop_batch()
+  ///        blocks even when items are queued (pushes are unaffected).
+  ///        Whoever flips the gate must call wake() afterwards.
   /// @param quantum_words base DRR quantum (deficit per visit is
   ///        quantum * weight; must be >= 1).
   DrrQueue(std::size_t capacity, const std::atomic<bool>* gate,
@@ -72,23 +72,17 @@ class DrrQueue {
     return PushResult::kOk;
   }
 
-  PushResult push_until(T item,
-                        std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!not_full_.wait_until(lk, deadline, [&] {
-          return closed_ || total_ < capacity_;
-        })) {
-      return PushResult::kTimeout;
-    }
-    if (closed_) return PushResult::kClosed;
-    enqueue_locked(std::move(item));
-    not_empty_.notify_one();
-    return PushResult::kOk;
-  }
-
   /// DRR-scheduled batch pop; the scheduling state (ring position,
   /// deficits) persists across calls, so consecutive batches continue
-  /// one global schedule no matter which worker takes them.
+  /// one global schedule no matter which worker takes them. Blocks until
+  /// items are queued with the gate open, or the queue is closed; returns
+  /// the number moved, 0 meaning closed-and-empty (the consumer's exit).
+  /// After close() the gate is ignored so workers can drain the backlog.
+  ///
+  /// When `in_flight` is given it is incremented under the queue lock
+  /// before a non-empty batch is handed out, so an observer that reads
+  /// size() == 0 and *in_flight == 0 knows no popped-but-unprocessed batch
+  /// hides in the gap (the drain() fence).
   std::size_t pop_batch(std::vector<T>* out, std::size_t max,
                         std::atomic<int>* in_flight = nullptr) {
     std::unique_lock<std::mutex> lk(mu_);
@@ -100,7 +94,6 @@ class DrrQueue {
         in_flight->fetch_add(1, std::memory_order_acq_rel);
       }
       if (on_size_change_) on_size_change_(total_);
-      not_full_.notify_all();
     }
     return n;
   }
@@ -108,8 +101,8 @@ class DrrQueue {
   /// Head-of-line requeue for the retry/failover path: the item returns
   /// to the FRONT of its tenant's sub-queue and the tenant moves to the
   /// ring front, so an already-admitted, already-scheduled request is
-  /// the next thing any worker sees. Ignores capacity and closed, as in
-  /// BoundedQueue (the item passed admission once).
+  /// the next thing any worker sees. Ignores capacity and closed: the
+  /// item passed admission once, and a closing service still drains it.
   void requeue_front(T item) {
     std::lock_guard<std::mutex> lk(mu_);
     const std::uint64_t tenant = tenant_of_(item);
@@ -125,64 +118,9 @@ class DrrQueue {
     not_empty_.notify_one();
   }
 
-  /// Evict the single queued item with the smallest key strictly below
-  /// `limit` — the cross-tenant shed sweep (BoundedQueue semantics).
-  template <typename KeyFn>
-  std::optional<T> evict_min_below(KeyFn key, int limit) {
-    std::lock_guard<std::mutex> lk(mu_);
-    Sub* best_sub = nullptr;
-    std::uint64_t best_tenant = 0;
-    std::size_t best_index = 0;
-    int best_key = limit;
-    for (auto& [tenant, sub] : subs_) {
-      for (std::size_t i = 0; i < sub.items.size(); ++i) {
-        const int k = key(sub.items[i]);
-        if (k < best_key) {
-          best_sub = &sub;
-          best_tenant = tenant;
-          best_index = i;
-          best_key = k;
-        }
-      }
-    }
-    if (best_sub == nullptr) return std::nullopt;
-    T out = std::move(best_sub->items[best_index]);
-    best_sub->items.erase(best_sub->items.begin() +
-                          static_cast<std::ptrdiff_t>(best_index));
-    --total_;
-    if (best_sub->items.empty()) drop_tenant(best_tenant);
-    if (on_size_change_) on_size_change_(total_);
-    not_full_.notify_all();
-    return out;
-  }
-
-  /// Evict every queued item matching `pred`, across all tenants.
-  template <typename Pred>
-  std::vector<T> evict_if(Pred pred) {
-    std::vector<T> evicted;
-    std::lock_guard<std::mutex> lk(mu_);
-    std::vector<std::uint64_t> emptied;
-    for (auto& [tenant, sub] : subs_) {
-      for (auto it = sub.items.begin(); it != sub.items.end();) {
-        if (pred(*it)) {
-          evicted.push_back(std::move(*it));
-          it = sub.items.erase(it);
-          --total_;
-        } else {
-          ++it;
-        }
-      }
-      if (sub.items.empty()) emptied.push_back(tenant);
-    }
-    for (const std::uint64_t tenant : emptied) drop_tenant(tenant);
-    if (!evicted.empty()) {
-      if (on_size_change_) on_size_change_(total_);
-      not_full_.notify_all();
-    }
-    return evicted;
-  }
-
-  /// As BoundedQueue: invoked with the new total size under the lock.
+  /// Invoked with the new total size, under the queue lock, whenever it
+  /// changes — so a gauge updated from here equals size() exactly at any
+  /// quiescent fence. Install before any concurrent use.
   void set_size_listener(std::function<void(std::size_t)> fn) {
     std::lock_guard<std::mutex> lk(mu_);
     on_size_change_ = std::move(fn);
@@ -202,13 +140,14 @@ class DrrQueue {
     on_round_ = std::move(fn);
   }
 
+  /// Refuse new pushes and wake every consumer; queued items stay poppable.
   void close() {
     std::lock_guard<std::mutex> lk(mu_);
     closed_ = true;
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
+  /// Re-evaluate consumer wait conditions (call after flipping the gate).
   void wake() {
     std::lock_guard<std::mutex> lk(mu_);
     not_empty_.notify_all();
@@ -305,7 +244,6 @@ class DrrQueue {
 
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::unordered_map<std::uint64_t, Sub> subs_;
   std::deque<std::uint64_t> ring_;  ///< active tenants, visit order
   std::size_t total_ = 0;

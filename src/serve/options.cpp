@@ -2,31 +2,6 @@
 
 namespace hprng::serve {
 
-const char* to_string(BackpressurePolicy policy) {
-  switch (policy) {
-    case BackpressurePolicy::kBlock:
-      return "block";
-    case BackpressurePolicy::kReject:
-      return "reject";
-    case BackpressurePolicy::kShed:
-      return "shed";
-  }
-  return "?";
-}
-
-bool parse_policy(const std::string& text, BackpressurePolicy* out) {
-  if (text == "block") {
-    *out = BackpressurePolicy::kBlock;
-  } else if (text == "reject") {
-    *out = BackpressurePolicy::kReject;
-  } else if (text == "shed") {
-    *out = BackpressurePolicy::kShed;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* to_string(Status status) {
   switch (status) {
     case Status::kOk:

@@ -2,8 +2,8 @@
 
 // hprng::serve — multi-client RNG-as-a-service over the paper's generators
 // (docs/SERVING.md). This header holds the value types shared by the
-// queue / lease / backend / service layers: admission policies, request
-// statuses and the service configuration.
+// queue / lease / backend / service layers: request statuses and the
+// service configuration.
 
 #include <chrono>
 #include <cstdint>
@@ -16,30 +16,13 @@ class Injector;
 
 namespace hprng::serve {
 
-/// What admission control does when the request queue is full.
-enum class BackpressurePolicy {
-  /// Wait for queue space until the request's deadline (then kTimeout).
-  kBlock,
-  /// Fail immediately with kRejected; never waits.
-  kReject,
-  /// Admit by evicting a queued request whose deadline has already passed
-  /// (that request completes as kShed); failing that, displace the lowest-
-  /// priority queued request strictly below the arrival's priority
-  /// (docs/SERVING.md §7); if nothing is evictable, reject.
-  kShed,
-};
-
-[[nodiscard]] const char* to_string(BackpressurePolicy policy);
-
-/// Parse "block" / "reject" / "shed" (the --policy flag of serve_load).
-bool parse_policy(const std::string& text, BackpressurePolicy* out);
-
 /// Terminal state of a request.
 enum class Status {
   kOk = 0,    ///< filled; the output span holds the client's next draws
-  kRejected,  ///< refused at admission (full queue, reject/shed policy)
-  kShed,      ///< admitted, but its deadline passed before service
-  kTimeout,   ///< block-policy admission wait exceeded the deadline
+  kRejected,  ///< refused at admission: the request queue was full
+  kShed,      ///< admitted, but its deadline passed before a worker
+              ///< claimed it (dropped at claim, never served)
+  kTimeout,   ///< the waiter's deadline passed while it was still queued
   kClosed,    ///< the service stopped before the request was admitted
   kFailed,    ///< every fill attempt failed and no healthy shard could
               ///< take over the lease (docs/SERVING.md §7)
@@ -98,10 +81,6 @@ struct ScrubberOptions {
   /// more than a quarter of its statistics) is an anomaly.
   double battery_ks_lo = 1e-4;
 
-  /// Shed priority of scrub sessions — deeply negative so under overload
-  /// scrub fills are always the first evicted (docs/SERVING.md §7).
-  int priority = -100;
-
   /// Anomaly-history records retained (and checkpointed); oldest dropped.
   std::size_t history_limit = 64;
 };
@@ -157,7 +136,7 @@ struct TenantOptions {
 
 /// Service configuration. Defaults serve a sharded hybrid pool sized for
 /// the tests and the serve_load bench; production knobs are the queue
-/// capacity / worker count / policy trio.
+/// capacity / worker count pair.
 struct ServiceOptions {
   /// Backend kind: "hybrid" (sharded HybridPrng pool, one device walk per
   /// lease), "cpu-walk" (one CpuWalkPrng per lease) or any
@@ -177,15 +156,13 @@ struct ServiceOptions {
   /// Worker threads draining the request queue.
   int num_workers = 2;
 
-  /// Bounded MPMC request queue capacity — the backpressure trigger.
+  /// Bounded MPMC request queue capacity. A request arriving at a full
+  /// queue settles kRejected at once; admission never waits.
   std::size_t queue_capacity = 256;
 
   /// Max requests one worker pops per pass; requests landing on the same
   /// shard coalesce into one batched backend fill.
   std::size_t max_coalesce = 8;
-
-  /// Admission policy when the queue is full.
-  BackpressurePolicy policy = BackpressurePolicy::kBlock;
 
   /// Deadline for requests submitted without an explicit timeout.
   std::chrono::nanoseconds default_timeout = std::chrono::seconds(30);

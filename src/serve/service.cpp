@@ -39,6 +39,23 @@ std::int64_t to_ns(std::chrono::steady_clock::time_point t) {
       .count();
 }
 
+/// The catalogued counter of each engine event, in RngService::Event
+/// order; nullptr where the event has no instrument of its own.
+constexpr const char* kEventInstruments[] = {
+    "hprng.serve.requests_completed",  // Status::kOk
+    "hprng.serve.requests_rejected",   // Status::kRejected
+    "hprng.serve.requests_shed",       // Status::kShed
+    "hprng.serve.requests_timed_out",  // Status::kTimeout
+    nullptr,                           // Status::kClosed
+    "hprng.serve.requests_failed",     // Status::kFailed
+    nullptr,  // Status::kRejectedQuota: hprng.serve.tenant.rejected_* by cause
+    "hprng.serve.requests_submitted",
+    "hprng.serve.numbers_served",
+    "hprng.serve.batches",
+    "hprng.serve.retry.attempts",
+    "hprng.serve.retry.failovers",
+};
+
 }  // namespace
 
 namespace detail {
@@ -77,17 +94,12 @@ RngService::RngService(ServiceOptions opts, obs::MetricsRegistry* metrics)
   if (metrics_ != nullptr) {
     // Resolve the whole hprng.serve.* catalogue up front so a snapshot is
     // complete (every documented instrument present) even at zero traffic.
-    ins_.requests_submitted =
-        &metrics_->counter("hprng.serve.requests_submitted");
-    ins_.requests_completed =
-        &metrics_->counter("hprng.serve.requests_completed");
-    ins_.requests_rejected =
-        &metrics_->counter("hprng.serve.requests_rejected");
-    ins_.requests_shed = &metrics_->counter("hprng.serve.requests_shed");
-    ins_.requests_timed_out =
-        &metrics_->counter("hprng.serve.requests_timed_out");
-    ins_.numbers_served = &metrics_->counter("hprng.serve.numbers_served");
-    ins_.batches = &metrics_->counter("hprng.serve.batches");
+    static_assert(std::size(kEventInstruments) == kNumEvents);
+    for (std::size_t e = 0; e < kNumEvents; ++e) {
+      if (kEventInstruments[e] != nullptr) {
+        ins_.events[e] = &metrics_->counter(kEventInstruments[e]);
+      }
+    }
     ins_.leases_granted = &metrics_->counter("hprng.serve.leases_granted");
     ins_.leases_released = &metrics_->counter("hprng.serve.leases_released");
     ins_.queue_depth = &metrics_->gauge("hprng.serve.queue_depth");
@@ -101,11 +113,8 @@ RngService::RngService(ServiceOptions opts, obs::MetricsRegistry* metrics)
         &metrics_->histogram("hprng.serve.fill_sim_seconds");
     ins_.fill_wall_seconds =
         &metrics_->histogram("hprng.serve.fill_wall_seconds");
-    ins_.requests_failed = &metrics_->counter("hprng.serve.requests_failed");
-    ins_.retry_attempts = &metrics_->counter("hprng.serve.retry.attempts");
     ins_.retry_backoff_seconds =
         &metrics_->counter("hprng.serve.retry.backoff_seconds");
-    ins_.retry_failovers = &metrics_->counter("hprng.serve.retry.failovers");
     ins_.shards_ejected = &metrics_->counter("hprng.serve.shards_ejected");
     ins_.shards_healthy = &metrics_->gauge("hprng.serve.shards_healthy");
     ins_.shards_healthy->set(static_cast<double>(opts_.num_shards));
@@ -172,6 +181,7 @@ RngService::RngService(ServiceOptions opts, obs::MetricsRegistry* metrics)
     }
   }
 
+  set_drr_observer(nullptr);  // installs the pop-order stamp
   const int workers = std::max(1, opts_.num_workers);
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
@@ -202,12 +212,11 @@ std::optional<Session> RngService::try_open_session(const SessionSpec& spec) {
     const int s = static_cast<int>(
         *spec.shard_key % static_cast<std::uint64_t>(num_shards()));
     if (shard_ejected(s)) return std::nullopt;  // pinned shard is gone
-    return open_with(leases_.grant_on(*spec.shard_key), spec.tenant,
-                     spec.priority);
+    return open_with(leases_.grant_on(*spec.shard_key), spec.tenant);
   }
   return open_with(
       leases_.grant_if([this](int s) { return !shard_ejected(s); }),
-      spec.tenant, spec.priority);
+      spec.tenant);
 }
 
 Session RngService::open_session() {
@@ -218,8 +227,7 @@ Session RngService::open_session() {
 }
 
 std::optional<Session> RngService::open_with(std::optional<Lease> lease,
-                                             std::uint64_t tenant,
-                                             int priority) {
+                                             std::uint64_t tenant) {
   if (!lease.has_value()) return std::nullopt;
   {
     ShardBackend& shard = *shards_[static_cast<std::size_t>(lease->shard)];
@@ -241,7 +249,6 @@ std::optional<Session> RngService::open_with(std::optional<Lease> lease,
   state->service = this;
   state->lease = *lease;
   state->tenant = tenant;
-  state->priority.store(priority, std::memory_order_relaxed);
   return Session(std::move(state));
 }
 
@@ -271,17 +278,13 @@ RngService::RequestPtr RngService::submit(
   auto req = std::make_shared<detail::Request>();
   req->session = session;
   req->out = out;
-  // One clock read per request: submit time, deadline and the shed-policy
-  // expiry sweep below all derive from this single sample, so admission
-  // decisions are stable however long the intervening code takes to run
-  // (e.g. under TSan).
+  // One clock read per request: the submit time, the deadline and the
+  // token-bucket refill below all derive from this single sample.
   req->submit_time = std::chrono::steady_clock::now();
   req->deadline =
       req->submit_time + (timeout.count() > 0 ? timeout : opts_.default_timeout);
-  req->priority = session->priority.load(std::memory_order_relaxed);
   req->tenant = session->tenant;
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (ins_.requests_submitted != nullptr) ins_.requests_submitted->add();
+  count(kSubmitted);
 
   if (stopping_.load(std::memory_order_acquire)) {
     settle(req, Status::kClosed);
@@ -322,62 +325,16 @@ RngService::RequestPtr RngService::submit(
       return req;
   }
 
-  using PushResult = DrrQueue<RequestPtr>::PushResult;
-  PushResult result = PushResult::kFull;
-  switch (opts_.policy) {
-    case BackpressurePolicy::kBlock:
-      result = queue_.push_until(req, req->deadline);
-      break;
-    case BackpressurePolicy::kReject:
-      result = queue_.try_push(req);
-      break;
-    case BackpressurePolicy::kShed: {
-      result = queue_.try_push(req);
-      if (result == PushResult::kFull) {
-        // Evict already-expired queued requests to make room (the clock
-        // sample from above — no re-read).
-        const auto now = req->submit_time;
-        std::vector<RequestPtr> evicted = queue_.evict_if(
-            [now](const RequestPtr& r) { return now >= r->deadline; });
-        for (RequestPtr& victim : evicted) {
-          int expected = detail::Request::kPending;
-          if (victim->phase.compare_exchange_strong(
-                  expected, detail::Request::kAbandoned,
-                  std::memory_order_acq_rel)) {
-            settle(victim, Status::kShed);
-          }
-        }
-        result = queue_.try_push(req);
-      }
-      if (result == PushResult::kFull) {
-        // Graceful degradation: a strictly higher-priority arrival may
-        // displace the lowest-priority queued request (docs/SERVING.md §7).
-        std::optional<RequestPtr> victim = queue_.evict_min_below(
-            [](const RequestPtr& r) { return r->priority; }, req->priority);
-        if (victim.has_value()) {
-          int expected = detail::Request::kPending;
-          if ((*victim)->phase.compare_exchange_strong(
-                  expected, detail::Request::kAbandoned,
-                  std::memory_order_acq_rel)) {
-            settle(*victim, Status::kShed);
-          }
-          result = queue_.try_push(req);
-        }
-      }
-      break;
-    }
-  }
-
-  switch (result) {
-    case PushResult::kOk:
-      break;  // queued; a worker (or timeout) will settle it
-    case PushResult::kFull:
+  // The one overload rule (docs/SERVING.md §4): a full queue rejects at
+  // once. Admission never waits, so no caller — least of all the wire
+  // front-end's poll loop — can stall here.
+  switch (queue_.try_push(req)) {
+    case DrrQueue<RequestPtr>::PushResult::kOk:
+      break;  // queued; a worker (or the waiter's timeout) settles it
+    case DrrQueue<RequestPtr>::PushResult::kFull:
       settle(req, Status::kRejected);
       break;
-    case PushResult::kTimeout:
-      settle(req, Status::kTimeout);
-      break;
-    case PushResult::kClosed:
+    case DrrQueue<RequestPtr>::PushResult::kClosed:
       settle(req, Status::kClosed);
       break;
   }
@@ -425,44 +382,22 @@ void RngService::settle(const RequestPtr& req, Status status) {
 
   // Account BEFORE publishing `done`: a waiter returning from fill() must
   // observe the terminal status already reflected in stats()/metrics.
-  switch (status) {
-    case Status::kOk:
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      if (ins_.requests_completed != nullptr) {
-        ins_.requests_completed->add();
-        ins_.request_latency_seconds->observe(
-            seconds(std::chrono::steady_clock::now() - req->submit_time));
-      }
-      break;
-    case Status::kRejected:
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (ins_.requests_rejected != nullptr) ins_.requests_rejected->add();
-      break;
-    case Status::kShed:
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      if (ins_.requests_shed != nullptr) ins_.requests_shed->add();
-      break;
-    case Status::kTimeout:
-      timed_out_.fetch_add(1, std::memory_order_relaxed);
-      if (ins_.requests_timed_out != nullptr) ins_.requests_timed_out->add();
-      break;
-    case Status::kClosed:
-      closed_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case Status::kFailed:
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      if (ins_.requests_failed != nullptr) ins_.requests_failed->add();
-      break;
-    case Status::kRejectedQuota:
-      // The per-cause tenant instruments were counted at the admission
-      // site (where rate vs. quota is known); this is the engine total.
-      rejected_quota_.fetch_add(1, std::memory_order_relaxed);
-      break;
+  count(static_cast<std::size_t>(status));
+  if (status == Status::kOk && ins_.request_latency_seconds != nullptr) {
+    ins_.request_latency_seconds->observe(
+        seconds(std::chrono::steady_clock::now() - req->submit_time));
   }
 
   req->done = true;
   lk.unlock();
   req->cv.notify_all();
+}
+
+void RngService::count(std::size_t event, std::uint64_t n) {
+  counts_[event].fetch_add(n, std::memory_order_relaxed);
+  if (ins_.events[event] != nullptr) {
+    ins_.events[event]->add(static_cast<double>(n));
+  }
 }
 
 void RngService::worker_loop() {
@@ -491,6 +426,30 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
     sleep_seconds(o.delay_seconds);
   }
 
+  // Serve order across workers: one session's pipelined requests can sit
+  // in two workers' batches at once. Touch none of them until every
+  // request of the session popped ahead of this batch has retired. Waits
+  // only ever point at earlier batches, so they cannot cycle.
+  for (auto it = batch.begin(); it != batch.end(); ++it) {
+    detail::SessionState& session = *(*it)->session;
+    if (std::any_of(batch.begin(), it, [&](const RequestPtr& r) {
+          return r->session.get() == &session;
+        })) {
+      continue;  // the session's first request in this batch waited
+    }
+    for (std::uint64_t r = session.retired.load(std::memory_order_acquire);
+         r < (*it)->pop_seq;
+         r = session.retired.load(std::memory_order_acquire)) {
+      session.retired.wait(r, std::memory_order_acquire);
+    }
+  }
+  // Each popped request retires once, as soon as this worker is done with
+  // it, so a successor popped by another worker waits no longer.
+  const auto retire = [](const RequestPtr& req) {
+    req->session->retired.fetch_add(1, std::memory_order_release);
+    req->session->retired.notify_all();
+  };
+
   // One clock read for the whole claim sweep: every expiry decision in
   // this batch uses the same sample, so a slow sweep (TSan, a preempted
   // worker) cannot expire requests mid-iteration.
@@ -508,11 +467,13 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
                                              std::memory_order_acq_rel)) {
         settle(req, Status::kShed);
       }
+      retire(req);
       continue;
     }
     if (!req->phase.compare_exchange_strong(expected,
                                             detail::Request::kClaimed,
                                             std::memory_order_acq_rel)) {
+      retire(req);
       continue;  // abandoned by its waiter — the span is off limits
     }
     int shard = 0;
@@ -525,6 +486,7 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
 
   for (std::size_t s = 0; s < by_shard.size(); ++s) {
     serve_shard_group(s, by_shard[s]);
+    for (const RequestPtr& req : by_shard[s]) retire(req);
   }
 }
 
@@ -587,15 +549,13 @@ void RngService::serve_shard_group(std::size_t s,
             std::chrono::steady_clock::time_point wall_start,
             std::chrono::steady_clock::time_point wall_end) {
           health_[s].consecutive_failures.store(0, std::memory_order_release);
-          batches_.fetch_add(1, std::memory_order_relaxed);
           std::uint64_t words = 0;
           for (const ShardBackend::Fill& f : pass.fills) {
             words += f.out.size();
           }
-          numbers_served_.fetch_add(words, std::memory_order_relaxed);
-          if (ins_.batches != nullptr) {
-            ins_.batches->add();
-            ins_.numbers_served->add(static_cast<double>(words));
+          count(kBatches);
+          count(kNumbersServed, words);
+          if (ins_.batch_requests != nullptr) {
             ins_.batch_requests->observe(
                 static_cast<double>(pass.fills.size()));
             ins_.fill_sim_seconds->observe(result.sim_seconds);
@@ -662,8 +622,7 @@ void RngService::serve_shard_group(std::size_t s,
           result = dispatch_drop ? ShardBackend::FillResult{false, 0.0}
                                  : shard.fill(pass.fills);
           if (result.ok || attempt >= opts_.max_fill_retries) break;
-          retries_.fetch_add(1, std::memory_order_relaxed);
-          if (ins_.retry_attempts != nullptr) ins_.retry_attempts->add();
+          count(kRetries);
           backoff(attempt);
         }
         const auto wall_end = std::chrono::steady_clock::now();
@@ -759,9 +718,8 @@ bool RngService::failover_session(
   tenants_.remove_lease(state->tenant, old.id);
   tenants_.add_lease(state->tenant, fresh->id);
   state->lease = *fresh;
-  failovers_.fetch_add(1, std::memory_order_relaxed);
-  if (ins_.retry_failovers != nullptr) {
-    ins_.retry_failovers->add();
+  count(kFailovers);
+  if (ins_.leases_granted != nullptr) {
     ins_.leases_granted->add();
     ins_.leases_released->add();
     ins_.backend_attaches->add();
@@ -819,19 +777,23 @@ void RngService::drain() {
 }
 
 RngService::Stats RngService::stats() const {
+  const auto at = [this](auto event) {
+    return counts_[static_cast<std::size_t>(event)].load(
+        std::memory_order_relaxed);
+  };
   Stats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.timed_out = timed_out_.load(std::memory_order_relaxed);
-  s.closed = closed_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.rejected_quota = rejected_quota_.load(std::memory_order_relaxed);
-  s.numbers_served = numbers_served_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.failovers = failovers_.load(std::memory_order_relaxed);
+  s.submitted = at(kSubmitted);
+  s.completed = at(Status::kOk);
+  s.rejected = at(Status::kRejected);
+  s.shed = at(Status::kShed);
+  s.timed_out = at(Status::kTimeout);
+  s.closed = at(Status::kClosed);
+  s.failed = at(Status::kFailed);
+  s.rejected_quota = at(Status::kRejectedQuota);
+  s.numbers_served = at(kNumbersServed);
+  s.batches = at(kBatches);
+  s.retries = at(kRetries);
+  s.failovers = at(kFailovers);
   s.shards_ejected = static_cast<std::uint64_t>(
       ejected_count_.load(std::memory_order_acquire));
   s.queue_depth = queue_.size();
@@ -857,13 +819,13 @@ std::vector<TenantTable::TenantStats> RngService::top_offenders(
 
 void RngService::set_drr_observer(
     std::function<void(std::uint64_t, std::size_t)> fn) {
-  if (!fn) {
-    queue_.set_pop_listener(nullptr);
-    return;
-  }
+  // The pop listener also numbers each session's requests in pop order
+  // (serve_batch's cross-worker ordering), so it stays installed without
+  // an observer too.
   queue_.set_pop_listener(
       [fn = std::move(fn)](std::uint64_t tenant, const RequestPtr& r) {
-        fn(tenant, r->out.size());
+        r->pop_seq = r->session->popped++;
+        if (fn) fn(tenant, r->out.size());
       });
 }
 
@@ -887,6 +849,11 @@ using state::kTagOpts;
 using state::kTagShrd;
 using state::kTagTenq;
 
+/// OPTS once carried a full-queue policy code (0..2) in this u32 slot. The
+/// layout keeps it: writers put the old default (0), so snapshots stay
+/// byte-compatible both ways, and readers accept 0..2 and ignore it.
+constexpr std::uint32_t kOptsOverloadSlot = 0;
+
 void save_options(state::SnapshotWriter& w, const ServiceOptions& o) {
   w.put_str(o.backend);
   w.put_u32(static_cast<std::uint32_t>(o.num_shards));
@@ -894,7 +861,7 @@ void save_options(state::SnapshotWriter& w, const ServiceOptions& o) {
   w.put_u32(static_cast<std::uint32_t>(o.num_workers));
   w.put_u64(o.queue_capacity);
   w.put_u64(o.max_coalesce);
-  w.put_u32(static_cast<std::uint32_t>(o.policy));
+  w.put_u32(kOptsOverloadSlot);
   w.put_u64(static_cast<std::uint64_t>(o.default_timeout.count()));
   w.put_u64(o.seed);
   w.put_u32(static_cast<std::uint32_t>(o.walk_len));
@@ -912,7 +879,7 @@ bool load_options(state::SectionReader& r, ServiceOptions* o) {
   o->num_workers = static_cast<int>(r.get_u32());
   o->queue_capacity = static_cast<std::size_t>(r.get_u64());
   o->max_coalesce = static_cast<std::size_t>(r.get_u64());
-  const std::uint32_t policy = r.get_u32();
+  const std::uint32_t overload = r.get_u32();  // kOptsOverloadSlot
   o->default_timeout = std::chrono::nanoseconds(
       static_cast<std::int64_t>(r.get_u64()));
   o->seed = r.get_u64();
@@ -924,11 +891,10 @@ bool load_options(state::SectionReader& r, ServiceOptions* o) {
   o->shard_eject_failures = static_cast<int>(r.get_u32());
   if (r.ok() &&
       (o->num_shards < 1 || o->max_leases_per_shard < 1 ||
-       o->queue_capacity < 1 || o->max_coalesce < 1 || policy > 2 ||
+       o->queue_capacity < 1 || o->max_coalesce < 1 || overload > 2 ||
        o->max_fill_retries < 0 || o->shard_eject_failures < 1)) {
     r.fail("implausible service options");
   }
-  o->policy = static_cast<BackpressurePolicy>(policy);
   return r.ok();
 }
 
@@ -1252,16 +1218,6 @@ Lease Session::lease() const {
   HPRNG_CHECK(valid(), "Session::lease: empty session");
   std::lock_guard<std::mutex> lk(state_->mu);
   return state_->lease;
-}
-
-void Session::set_priority(int priority) {
-  HPRNG_CHECK(valid(), "Session::set_priority: empty session");
-  state_->priority.store(priority, std::memory_order_relaxed);
-}
-
-int Session::priority() const {
-  HPRNG_CHECK(valid(), "Session::priority: empty session");
-  return state_->priority.load(std::memory_order_relaxed);
 }
 
 std::uint64_t Session::tenant() const {

@@ -5,8 +5,8 @@
 //
 // Architecture: clients open Sessions, each leasing one substream slot on
 // one backend shard (LeaseManager + ShardBackend). Session fills become
-// Requests on a bounded MPMC queue under an admission policy
-// (block / reject / shed); worker threads pop coalescing batches, group
+// Requests on a bounded MPMC queue; a request that finds the queue full
+// is rejected at once. Worker threads pop coalescing batches, group
 // them by shard and serve each group as ONE batched backend fill — for
 // the hybrid backend that is a single FEED/TRANSFER/GENERATE pipeline
 // pass (HybridPrng::fill_leased), which is the whole point: many small
@@ -15,14 +15,16 @@
 //
 // Every request reaches exactly one terminal Status. The request state is
 // heap-shared between the waiting client and the serving worker, with an
-// atomic claim protocol deciding races (worker claim vs. client timeout
-// vs. shed eviction), so no side ever touches a span the other reclaimed.
+// atomic claim protocol deciding races (worker claim vs. client timeout),
+// so no side ever touches a span the other reclaimed.
 //
 // Observability: with a MetricsRegistry attached the service maintains
-// the `hprng.serve.*` catalogue (docs/OBSERVABILITY.md). Engine-side
-// accounting (Stats) is kept independently in atomics, so tests can check
-// the instruments against ground truth at quiescent fences.
+// the `hprng.serve.*` catalogue (docs/OBSERVABILITY.md). Each engine event
+// is counted at one call site, which bumps the counter table stats() reads
+// and the event's catalogued instrument together, so the two agree at
+// quiescent fences.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -62,16 +64,17 @@ namespace detail {
 struct Request {
   /// Claim protocol: exactly one party wins the CAS away from kPending.
   /// A worker claims kPending -> kClaimed before touching `out`; a
-  /// timed-out waiter (or a shed-policy eviction) claims
-  /// kPending -> kAbandoned, after which no worker may touch `out` (the
-  /// caller's buffer may be gone).
+  /// timed-out waiter (or a worker finding the deadline already passed)
+  /// claims kPending -> kAbandoned, after which no worker may touch `out`
+  /// (the caller's buffer may be gone).
   enum Phase : int { kPending = 0, kClaimed, kAbandoned };
 
   std::shared_ptr<struct SessionState> session;  ///< lease keepalive
   std::span<std::uint64_t> out;
   std::chrono::steady_clock::time_point submit_time;
   std::chrono::steady_clock::time_point deadline;
-  int priority = 0;  ///< session priority at submit time (shed order)
+  std::uint64_t pop_seq = 0;  ///< session pop order (set under the queue
+                              ///< lock; see SessionState::popped)
   std::uint64_t tenant = 0;   ///< owning tenant (DRR classification)
   bool quota_charged = false; ///< admission charged out.size() words; a
                               ///< non-kOk terminal refunds exactly once
@@ -91,9 +94,15 @@ struct Request {
 struct SessionState {
   RngService* service = nullptr;
   std::mutex mu;
-  Lease lease;                   ///< guarded by mu
-  std::atomic<int> priority{0};  ///< shed order; higher survives longer
-  std::uint64_t tenant = 0;      ///< immutable after open/adopt
+  Lease lease;               ///< guarded by mu
+  std::uint64_t tenant = 0;  ///< immutable after open/adopt
+  /// Serve order across workers (docs/SERVING.md §4): the queue numbers
+  /// this session's requests as it hands them out (`popped`, guarded by
+  /// the queue lock), and each worker retires its batch's requests when
+  /// the batch is done. A worker touches a request only once every
+  /// request of the session popped before its batch has retired.
+  std::uint64_t popped = 0;
+  std::atomic<std::uint64_t> retired{0};
   ~SessionState();
 };
 
@@ -144,12 +153,6 @@ class Session {
   /// failover may move the lease between calls; docs/SERVING.md §7).
   [[nodiscard]] Lease lease() const;
 
-  /// Shed priority of this session's future requests (default 0). Under
-  /// shed-policy overload the lowest-priority queued request is evicted
-  /// first, and only for a strictly higher-priority arrival.
-  void set_priority(int priority);
-  [[nodiscard]] int priority() const;
-
   /// Tenant this session bills against (immutable; docs/QOS.md §2).
   [[nodiscard]] std::uint64_t tenant() const;
 
@@ -189,7 +192,6 @@ class RngService {
   struct SessionSpec {
     std::uint64_t tenant = 0;              ///< QoS billing identity
     std::optional<std::uint64_t> shard_key;  ///< affinity pin (optional)
-    int priority = 0;                        ///< initial shed priority
   };
   std::optional<Session> try_open_session(const SessionSpec& spec);
 
@@ -197,8 +199,8 @@ class RngService {
   /// sized the pool to their client count.
   Session open_session();
 
-  /// Engine-side ground-truth accounting (independent of the metrics
-  /// registry; exact at quiescent fences).
+  /// Engine-side ground-truth accounting (kept whether or not a registry
+  /// is attached; exact at quiescent fences).
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;  ///< served kOk
@@ -359,22 +361,27 @@ class RngService {
 
   using RequestPtr = std::shared_ptr<detail::Request>;
 
+  /// Engine events. The first slots are the terminal statuses, indexed by
+  /// Status value; the rest follow. count() bumps an event's slot in the
+  /// counter table and its catalogued instrument together, and every
+  /// event is counted at exactly one call site.
+  enum Event : std::size_t {
+    kSubmitted = static_cast<std::size_t>(Status::kRejectedQuota) + 1,
+    kNumbersServed,
+    kBatches,
+    kRetries,
+    kFailovers,
+    kNumEvents,
+  };
+
   /// The `hprng.serve.*` catalogue (docs/OBSERVABILITY.md), resolved once
   /// at construction. All null when no registry is attached.
   struct Instruments {
-    obs::Counter* requests_submitted = nullptr;
-    obs::Counter* requests_completed = nullptr;
-    obs::Counter* requests_rejected = nullptr;
-    obs::Counter* requests_shed = nullptr;
-    obs::Counter* requests_timed_out = nullptr;
-    obs::Counter* numbers_served = nullptr;
-    obs::Counter* batches = nullptr;
+    /// Per-event counters; null also for events with no instrument.
+    std::array<obs::Counter*, kNumEvents> events{};
     obs::Counter* leases_granted = nullptr;
     obs::Counter* leases_released = nullptr;
-    obs::Counter* requests_failed = nullptr;
-    obs::Counter* retry_attempts = nullptr;
     obs::Counter* retry_backoff_seconds = nullptr;
-    obs::Counter* retry_failovers = nullptr;
     obs::Counter* shards_ejected = nullptr;
     // `hprng.serve.backend.*` — backend slot churn (docs/BACKENDS.md §6).
     obs::Counter* backend_attaches = nullptr;
@@ -411,13 +418,14 @@ class RngService {
   };
 
   std::optional<Session> open_with(std::optional<Lease> lease,
-                                   std::uint64_t tenant, int priority);
+                                   std::uint64_t tenant);
   RequestPtr submit(const std::shared_ptr<detail::SessionState>& session,
                     std::span<std::uint64_t> out,
                     std::chrono::nanoseconds timeout);
   static Status wait(const RequestPtr& req);
   /// Publish the terminal status (exactly once) and count it.
   void settle(const RequestPtr& req, Status status);
+  void count(std::size_t event, std::uint64_t n = 1);
   void release_lease(const Lease& lease);
   void worker_loop();
   void serve_batch(std::vector<RequestPtr>& batch);
@@ -454,19 +462,7 @@ class RngService {
   std::atomic<bool> paused_{false};
   DrrQueue<RequestPtr> queue_;  ///< weighted-fair across tenants (QOS.md §5)
 
-  // Engine accounting (ground truth for Stats).
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> timed_out_{0};
-  std::atomic<std::uint64_t> closed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> rejected_quota_{0};
-  std::atomic<std::uint64_t> numbers_served_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> failovers_{0};
+  std::array<std::atomic<std::uint64_t>, kNumEvents> counts_{};  ///< by Event
 
   std::atomic<int> serving_{0};  ///< workers with a popped, unfinished batch
   std::mutex state_mu_;

@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace hprng::util {
 
@@ -50,25 +49,22 @@ void ThreadPool::parallel_for(std::uint64_t begin, std::uint64_t end,
     return;
   }
   const std::uint64_t chunk = (n + parts - 1) / parts;
-  std::atomic<std::size_t> remaining{0};
+  // `remaining` lives on this frame, so a task may only touch it (and the
+  // mutex/condvar) while holding done_mu: the waiter cannot observe zero
+  // and return until the last task has released the lock.
+  std::size_t remaining = static_cast<std::size_t>((n + chunk - 1) / chunk);
   std::mutex done_mu;
   std::condition_variable done_cv;
-  std::size_t launched = 0;
   for (std::uint64_t lo = begin; lo < end; lo += chunk) {
     const std::uint64_t hi = std::min(end, lo + chunk);
-    ++launched;
-    remaining.fetch_add(1, std::memory_order_relaxed);
     submit([&, lo, hi] {
       for (std::uint64_t i = lo; i < hi; ++i) fn(i);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lk(done_mu);
-        done_cv.notify_one();
-      }
+      std::lock_guard<std::mutex> lk(done_mu);
+      if (--remaining == 0) done_cv.notify_one();
     });
   }
-  (void)launched;
   std::unique_lock<std::mutex> lk(done_mu);
-  done_cv.wait(lk, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(lk, [&] { return remaining == 0; });
 }
 
 ThreadPool& ThreadPool::global() {

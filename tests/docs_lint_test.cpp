@@ -391,7 +391,7 @@ TEST(DocsLint, DocumentedCliFlagsExistInSources) {
 
   std::string corpus;
   const fs::path root(HPRNG_SOURCE_DIR);
-  for (const char* dir : {"src", "bench", "tests", "examples"}) {
+  for (const char* dir : {"src", "bench", "tests", "examples", "perfbench"}) {
     for (const auto& entry :
          fs::recursive_directory_iterator(root / dir)) {
       if (!entry.is_regular_file()) continue;

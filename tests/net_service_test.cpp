@@ -1,7 +1,8 @@
 // End-to-end tests of NetServer + NetClient over real sockets
 // (docs/NETWORK.md): the hello gate, lease/fill/release round trips that
 // must be bit-identical to an in-process reference service, pipelining,
-// protocol-level backpressure, orphan adoption across connections, and
+// protocol-level backpressure, full-queue rejection that never stalls the
+// poll loop, orphan adoption across connections, and
 // transparent client reconnection. Unix-domain sockets are the primary
 // transport (always available); the TCP test skips itself where the
 // sandbox forbids binding.
@@ -10,7 +11,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/client.hpp"
@@ -151,6 +154,48 @@ TEST(NetService, BackpressureWindowShedsWithExplicitReply) {
   service.resume();
   EXPECT_EQ(client.fill_wait(first, out, &err), serve::Status::kOk) << err;
   EXPECT_GE(server.stats().fills_rejected, 1u);
+}
+
+// Overload must never freeze the wire front-end. The poll loop submits
+// every fill itself, so a full service queue has to answer kRejected at
+// once while every other connection keeps being served.
+TEST(NetService, FullQueueRejectsWithoutStallingOtherConnections) {
+  serve::ServiceOptions opts = small_options();
+  opts.queue_capacity = 1;
+  opts.default_timeout = std::chrono::seconds(3);
+  serve::RngService service(opts);
+  const std::string ep = unique_unix_endpoint();
+  net::NetServer server(service, {.listen = {ep}});
+  ASSERT_TRUE(server.ok()) << server.error();
+
+  net::NetClient a(client_options(ep));
+  std::string err;
+  const auto lease = a.lease(&err);
+  ASSERT_TRUE(lease.has_value()) << err;
+
+  service.pause();  // the first fill takes the only queue slot and stays
+  const std::uint64_t first = a.fill_submit(*lease, 32);
+  const std::uint64_t second = a.fill_submit(*lease, 32);
+  ASSERT_NE(first, 0u);
+  ASSERT_NE(second, 0u);
+  for (int i = 0; i < 500 && service.stats().submitted < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(service.stats().submitted, 2u) << "fills never reached the loop";
+
+  const auto start = std::chrono::steady_clock::now();
+  net::NetClient b(client_options(ep));
+  ASSERT_TRUE(b.connect(&err)) << err;
+  const auto stat = b.stat(&err);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(stat.has_value()) << err;
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << "the poll loop stalled behind a full queue";
+
+  std::vector<std::uint64_t> out(32);
+  EXPECT_EQ(a.fill_wait(second, out, &err), serve::Status::kRejected) << err;
+  service.resume();
+  EXPECT_EQ(a.fill_wait(first, out, &err), serve::Status::kOk) << err;
 }
 
 TEST(NetService, FillOnForeignLeaseIsUnknownLease) {

@@ -218,48 +218,6 @@ TEST(ServeChaos, WorkerDelaysOnlyPerturbWallClock) {
   EXPECT_EQ(stats.retries, 0u) << "a slow worker is not a failure";
 }
 
-TEST(ServeChaos, PrioritySheddingEvictsStrictlyLowerPriority) {
-  auto opts = chaos_options("cpu-walk");
-  opts.policy = serve::BackpressurePolicy::kShed;
-  opts.queue_capacity = 2;
-  opts.num_workers = 1;
-  serve::RngService service(opts);
-
-  serve::Session lo_a = service.open_session();
-  serve::Session lo_b = service.open_session();
-  serve::Session hi = service.open_session();
-  hi.set_priority(5);
-  EXPECT_EQ(hi.priority(), 5);
-  EXPECT_EQ(lo_a.priority(), 0);
-
-  service.pause();
-  std::vector<std::uint64_t> a(8), b(8), c(8), d(8);
-  serve::Ticket t1 = lo_a.fill_async(a, 10s);
-  serve::Ticket t2 = lo_b.fill_async(b, 10s);
-  ASSERT_EQ(service.stats().queue_depth, 2u);
-
-  // A strictly higher-priority arrival displaces one priority-0 victim...
-  serve::Ticket t3 = hi.fill_async(c, 10s);
-  EXPECT_EQ(service.stats().queue_depth, 2u);
-  EXPECT_EQ(service.stats().shed, 1u);
-
-  // ...but an equal-priority arrival cannot (no livelock between peers).
-  serve::Ticket t4 = lo_a.fill_async(d, 10s);
-  EXPECT_EQ(t4.wait(), serve::Status::kRejected);
-
-  service.resume();
-  service.drain();
-  EXPECT_EQ(t3.wait(), serve::Status::kOk);
-  const serve::Status s1 = t1.wait();
-  const serve::Status s2 = t2.wait();
-  EXPECT_TRUE((s1 == serve::Status::kShed) != (s2 == serve::Status::kShed))
-      << "exactly one low-priority victim";
-  EXPECT_TRUE(s1 == serve::Status::kOk || s2 == serve::Status::kOk);
-
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.submitted, conserved_total(stats));
-}
-
 TEST(ServeChaos, RandomizedPlanConservesEveryRequest) {
   // Seeded chaos sweep over the pipeline sites (h2d/d2h/feed/shard). The
   // CI chaos job rotates HPRNG_CHAOS_SEED; any failure names the seed, so

@@ -208,6 +208,51 @@ TEST(CheckpointFormat, CounterShardSectionsAreFixedSizePerLease) {
   }
 }
 
+TEST(CheckpointFormat, RetiredPolicySlotAcceptsEveryOldCode) {
+  // OPTS keeps the u32 slot that once held a full-queue policy code
+  // (docs/STATE.md §4): writers put 0, and restore accepts any code an
+  // older writer could have put there (0..2) while still rejecting
+  // anything beyond as implausible.
+  const std::string path = tmp_path("policy_slot.snap");
+  {
+    serve::RngService service(small_options("cpu-walk"));
+    auto sessions = open_pinned(service, 1);
+    std::vector<std::vector<std::uint64_t>> streams;
+    run_traffic(sessions, 1, 8, &streams);
+    service.drain();
+    ASSERT_TRUE(service.checkpoint(path));
+  }
+  std::string error;
+  auto snap = state::Snapshot::read_file(path, &error);
+  ASSERT_TRUE(snap.has_value()) << error;
+  // backend str (u64 length + bytes), num_shards:u32,
+  // max_leases_per_shard:u64, num_workers:u32, queue_capacity:u64 and
+  // max_coalesce:u64 precede the slot.
+  const std::size_t slot = 8 + std::string("cpu-walk").size() + 4 + 8 + 4 +
+                           8 + 8;
+  const std::string case_path = tmp_path("policy_slot_case.snap");
+  for (const std::uint32_t code : {0u, 1u, 2u, 3u}) {
+    SCOPED_TRACE("policy code " + std::to_string(code));
+    state::SnapshotWriter w;
+    for (const state::Section& sec : snap->sections()) {
+      std::string payload(sec.payload);
+      if (sec.tag == state::kTagOpts) {
+        ASSERT_EQ(payload.substr(slot, 4), std::string(4, '\0'));
+        for (std::size_t i = 0; i < 4; ++i) {  // little-endian u32
+          payload[slot + i] = static_cast<char>(code >> (8 * i));
+        }
+      }
+      w.begin_section(sec.tag, sec.version);
+      w.put_raw(payload);
+    }
+    ASSERT_TRUE(w.write_file(case_path, &error)) << error;
+    auto restored = serve::RngService::restore(case_path, &error);
+    EXPECT_EQ(restored != nullptr, code <= 2) << error;
+  }
+  std::remove(case_path.c_str());
+  std::remove(path.c_str());
+}
+
 TEST(RestoreEquivalence, SurvivesReleaseAndRegrantBeforeCheckpoint) {
   // Slot reuse: released leases retire their ids; the restored manager
   // must keep granting fresh ids (never a collision with an adopted one).

@@ -267,11 +267,10 @@ TEST(TenantQos, QuotaExhaustionRejectsAndConserves) {
 }
 
 TEST(TenantQos, NonOkTerminalRefundsTheAdmissionCharge) {
-  // kReject policy with a 1-slot queue and paused workers: the first
-  // request parks in the queue (charged), the next two bounce off the
-  // full queue (charged, then refunded by their kRejected settle).
+  // A 1-slot queue and paused workers: the first request parks in the
+  // queue (charged), the next two bounce off the full queue (charged,
+  // then refunded by their kRejected settle).
   serve::ServiceOptions opts = qos_options();
-  opts.policy = serve::BackpressurePolicy::kReject;
   opts.queue_capacity = 1;
   serve::TenantPolicy p;
   p.quota_words = 1000;

@@ -1,9 +1,9 @@
 // Tests for hprng::serve (docs/SERVING.md): leased-substream disjointness
 // (the acceptance property: no two concurrently leased streams overlap),
-// admission-policy semantics (reject never blocks, block times out at the
-// deadline, shed evicts expired requests), queue-depth accounting at
-// fences, request coalescing, and the lease grant/release protocol under
-// thread hammering (the TSan target).
+// the overload rule (a full queue rejects and never blocks), the two
+// deadline paths (a waiter times out, a worker sheds an expired request at
+// claim), queue-depth accounting at fences, request coalescing, and the
+// lease grant/release protocol under thread hammering (the TSan target).
 
 #include <algorithm>
 #include <atomic>
@@ -21,8 +21,8 @@
 #include "obs/metrics.hpp"
 #include "prng/registry.hpp"
 #include "prng/seed_seq.hpp"
+#include "serve/drr_queue.hpp"
 #include "serve/lease.hpp"
-#include "serve/queue.hpp"
 #include "serve/service.hpp"
 
 namespace hprng {
@@ -226,11 +226,10 @@ TEST(ServeDisjointness, PairwiseCrossCorrelationIsFlat) {
   EXPECT_GT(worst, 0.0);
 }
 
-// --------------------------------------------------- backpressure policies
+// ------------------------------------------------------------ backpressure
 
 TEST(ServeBackpressure, RejectNeverBlocksPastDeadline) {
   auto opts = small_options("cpu-walk");
-  opts.policy = serve::BackpressurePolicy::kReject;
   opts.queue_capacity = 4;
   opts.num_workers = 1;
   serve::RngService service(opts);
@@ -244,67 +243,77 @@ TEST(ServeBackpressure, RejectNeverBlocksPastDeadline) {
   }
   ASSERT_EQ(service.stats().queue_depth, 4u);
 
-  // Queue full, workers parked, generous deadline: the reject policy must
+  // Queue full, workers parked, generous deadline: the full queue must
   // answer immediately — nowhere near the 10 s deadline.
   const auto start = std::chrono::steady_clock::now();
   const serve::Status status = session.fill(bufs[7], 10s);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(status, serve::Status::kRejected);
-  EXPECT_LT(elapsed, 1s) << "reject policy blocked";
+  EXPECT_LT(elapsed, 1s) << "a full queue blocked the caller";
 
   service.resume();
   for (serve::Ticket& t : tickets) EXPECT_EQ(t.wait(), serve::Status::kOk);
   EXPECT_EQ(service.stats().rejected, 1u);
 }
 
-TEST(ServeBackpressure, BlockPolicyTimesOutAtTheDeadline) {
+// --------------------------------------------------------------- deadlines
+
+constexpr std::uint64_t kUntouched = 0x5EED5EED5EED5EEDull;
+
+TEST(ServeDeadlines, QueuedWaiterTimesOutUntouchedAndRefundedOnce) {
   auto opts = small_options("cpu-walk");
-  opts.policy = serve::BackpressurePolicy::kBlock;
-  opts.queue_capacity = 1;
   opts.num_workers = 1;
+  serve::TenantPolicy capped;
+  capped.quota_words = 1000;
+  opts.tenants.overrides[7] = capped;
   serve::RngService service(opts);
+  serve::RngService::SessionSpec spec;
+  spec.tenant = 7;
+  auto session = service.try_open_session(spec);
+  ASSERT_TRUE(session.has_value());
 
-  service.pause();
-  std::vector<std::uint64_t> a(8), b(8);
-  serve::Ticket queued = service.open_session().fill_async(a, 10s);
-
+  service.pause();  // keep the request queued past its deadline
+  std::vector<std::uint64_t> buf(8, kUntouched);
   const auto start = std::chrono::steady_clock::now();
-  const serve::Status status = service.open_session().fill(b, 100ms);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(status, serve::Status::kTimeout);
-  EXPECT_GE(elapsed, 90ms) << "timed out before the deadline";
-  EXPECT_LT(elapsed, 5s) << "blocked far past the deadline";
+  EXPECT_EQ(session->fill(buf, 50ms), serve::Status::kTimeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 50ms)
+      << "timed out before the deadline";
 
+  // The worker now pops the abandoned request: it must neither write the
+  // buffer nor settle the request a second time.
   service.resume();
-  EXPECT_EQ(queued.wait(), serve::Status::kOk);
-  EXPECT_EQ(service.stats().timed_out, 1u);
+  service.drain();
+  for (const std::uint64_t v : buf) EXPECT_EQ(v, kUntouched);
+  const auto ts = service.tenant_stats(7);
+  EXPECT_EQ(ts.words_charged, 8u);
+  EXPECT_EQ(ts.words_refunded, 8u);  // exactly once
+  EXPECT_EQ(ts.quota_used, 0u);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.timed_out, 1u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.numbers_served, 0u);
 }
 
-TEST(ServeBackpressure, ShedPolicyEvictsExpiredRequests) {
+TEST(ServeDeadlines, AsyncTicketExpiredInQueueIsShedAtClaim) {
   auto opts = small_options("cpu-walk");
-  opts.policy = serve::BackpressurePolicy::kShed;
-  opts.queue_capacity = 2;
   opts.num_workers = 1;
   serve::RngService service(opts);
+  serve::Session session = service.open_session();
 
   service.pause();
-  std::vector<std::uint64_t> a(8), b(8), c(8);
-  // Two requests with already-tiny deadlines jam the queue...
-  serve::Ticket t1 = service.open_session().fill_async(a, 1ms);
-  serve::Ticket t2 = service.open_session().fill_async(b, 1ms);
-  ASSERT_EQ(service.stats().queue_depth, 2u);
-  std::this_thread::sleep_for(10ms);  // ...and expire.
-
-  // A live arrival sheds them and takes their place.
-  serve::Session session = service.open_session();
-  serve::Ticket t3 = session.fill_async(c, 10s);
-  EXPECT_EQ(t1.wait(), serve::Status::kShed);
-  EXPECT_EQ(t2.wait(), serve::Status::kShed);
-  ASSERT_EQ(service.stats().queue_depth, 1u);
-
+  std::vector<std::uint64_t> buf(8, kUntouched);
+  serve::Ticket ticket = session.fill_async(buf, 1ms);
+  std::this_thread::sleep_for(10ms);  // expires queued; nobody is waiting
   service.resume();
-  EXPECT_EQ(t3.wait(), serve::Status::kOk);
-  EXPECT_EQ(service.stats().shed, 2u);
+  service.drain();  // the worker claims it and finds the deadline passed
+
+  EXPECT_EQ(ticket.wait(), serve::Status::kShed);
+  for (const std::uint64_t v : buf) EXPECT_EQ(v, kUntouched);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.timed_out, 0u);
+  EXPECT_EQ(stats.batches, 0u);
+  EXPECT_EQ(stats.numbers_served, 0u);
 }
 
 // ------------------------------------------------------- queue accounting
@@ -358,7 +367,6 @@ TEST(ServeAccounting, QueueDepthGaugeMatchesEngineAccountingAtFences) {
 
 TEST(ServeAccounting, StatusesConserveSubmissions) {
   auto opts = small_options("cpu-walk");
-  opts.policy = serve::BackpressurePolicy::kReject;
   opts.queue_capacity = 2;
   opts.num_workers = 1;
   serve::RngService service(opts);
@@ -514,23 +522,13 @@ TEST(ServeLeases, GrantReleaseHammerStaysConsistent) {
 
 // ----------------------------------------------------------- odds and ends
 
-TEST(ServeOptions, PolicyNamesRoundTrip) {
-  for (auto policy :
-       {serve::BackpressurePolicy::kBlock, serve::BackpressurePolicy::kReject,
-        serve::BackpressurePolicy::kShed}) {
-    serve::BackpressurePolicy parsed;
-    ASSERT_TRUE(serve::parse_policy(serve::to_string(policy), &parsed));
-    EXPECT_EQ(parsed, policy);
-  }
-  serve::BackpressurePolicy parsed;
-  EXPECT_FALSE(serve::parse_policy("bogus", &parsed));
-}
-
 TEST(ServeQueue, GateFreezesConsumersNotProducers) {
   std::atomic<bool> gate{false};
-  serve::BoundedQueue<int> queue(4, &gate);
+  serve::DrrQueue<int> queue(
+      4, &gate, [](const int&) { return std::uint64_t{0}; },
+      [](const int&) { return std::uint64_t{1}; }, nullptr, 1);
   gate.store(true);
-  EXPECT_EQ(queue.try_push(1), serve::BoundedQueue<int>::PushResult::kOk);
+  EXPECT_EQ(queue.try_push(1), serve::DrrQueue<int>::PushResult::kOk);
   EXPECT_EQ(queue.size(), 1u);  // producer unaffected by the gate
 
   std::vector<int> out;

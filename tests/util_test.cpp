@@ -71,6 +71,25 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   }
 }
 
+// parallel_for's completion latch lives on the caller's stack and dies as
+// soon as the call returns. Thousands of short back-to-back calls give a
+// late-finishing task every chance to touch a dead frame; the TSan CI leg
+// runs this.
+TEST(ThreadPool, BackToBackParallelForsNeverTouchAReturnedFrame) {
+  constexpr std::uint64_t kCalls = 5000;
+  for (std::size_t workers : {std::size_t{3}, std::size_t{8}}) {
+    ThreadPool pool(workers);
+    const std::uint64_t n = 2 * workers;
+    std::uint64_t total = 0;
+    for (std::uint64_t call = 0; call < kCalls; ++call) {
+      std::vector<std::uint64_t> out(n);
+      pool.parallel_for(0, n, [&](std::uint64_t i) { out[i] = i + 1; });
+      total += std::accumulate(out.begin(), out.end(), std::uint64_t{0});
+    }
+    EXPECT_EQ(total, kCalls * n * (n + 1) / 2) << workers << " workers";
+  }
+}
+
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool called = false;
