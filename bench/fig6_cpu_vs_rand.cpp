@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
     util::WallTimer tw;
     core::CpuWalkPrng walk(12345);
-    for (std::uint64_t i = 0; i < n; ++i) sink += walk.next_u64();
+    for (std::uint64_t i = 0; i < n; ++i) sink = sink + walk.next_u64();
     const double t_walk = tw.seconds();
 
     tw.reset();
@@ -66,8 +66,8 @@ int main(int argc, char** argv) {
     // per 64-bit number (exactly what an application would do).
     srand(12345);
     for (std::uint64_t i = 0; i < n; ++i) {
-      sink += (static_cast<std::uint64_t>(rand()) << 31) |
-              static_cast<std::uint64_t>(rand());
+      sink = sink + ((static_cast<std::uint64_t>(rand()) << 31) |
+                     static_cast<std::uint64_t>(rand()));
     }
     const double t_rand = tw.seconds();
 

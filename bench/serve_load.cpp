@@ -9,9 +9,9 @@
 //        --workers --capacity (a full queue rejects) --coalesce
 //        --timeout-ms --backend=NAME (serve registry, docs/BACKENDS.md) --seed
 //        --inflight=K  async requests each client keeps outstanding
-//                      (K >= 2 exercises the pipelined serve path: a worker
-//                      coalescing one session's queued requests issues them
-//                      as overlapped begin/finish passes)
+//                      (K >= 2 queues one session's requests back to back:
+//                      a worker coalescing them serves one pass each, in
+//                      order)
 //        --metrics-json=<path>
 //        --bench-json=<path>  flat perf summary (BENCH_serve.json in CI)
 //        --fault-plan=<plan>  deterministic chaos run (docs/FAULTS.md §3),
@@ -1144,8 +1144,6 @@ int main(int argc, char** argv) {
                                       wall_seconds / 1e6)});
   }
   double lat_p50 = 0.0, lat_p99 = 0.0, lat_max = 0.0, qw_p99 = 0.0;
-  double overlap_seconds = 0.0, fill_span_seconds = 0.0;
-  double overlap_fraction = 0.0;
   if (obs::kEnabled) {
     // Latency quantiles from the registry histogram — the same numbers a
     // dashboard would read (power-of-two buckets: within 2x).
@@ -1159,20 +1157,6 @@ int main(int argc, char** argv) {
     t.add_row({"latency p99 (ms)", bench::ms(lat_p99)});
     t.add_row({"latency max (ms)", bench::ms(lat_max)});
     t.add_row({"queue wait p99 (ms)", bench::ms(qw_p99)});
-    // Pipelined-fill overlap (hybrid backend, docs/PERFORMANCE.md): the
-    // simulated time fill N+1's FEED/TRANSFER spent running under fill N's
-    // GENERATE kernel, as a fraction of total fill span. Zero unless
-    // same-session passes queued back to back (--inflight >= 2).
-    overlap_seconds =
-        metrics.counter("hprng.core.serve_overlap_seconds").value();
-    fill_span_seconds =
-        metrics.counter("hprng.core.serve_fill_span_seconds").value();
-    if (fill_span_seconds > 0.0) {
-      overlap_fraction = overlap_seconds / fill_span_seconds;
-      t.add_row({"pipeline overlap (sim ms)", bench::ms(overlap_seconds)});
-      t.add_row({"overlap fraction",
-                 util::strf("%.3f", overlap_fraction)});
-    }
   }
   if (quality_report.has_value()) {
     const quality::QualityReport& q = *quality_report;
@@ -1303,8 +1287,8 @@ int main(int argc, char** argv) {
   bench::export_metrics_json(cli, metrics);
 
   {
-    // Flat perf summary (BENCH_serve.json in CI): wall throughput, tail
-    // latency and pipeline overlap, one parseable file per run.
+    // Flat perf summary (BENCH_serve.json in CI): wall throughput and tail
+    // latency, one parseable file per run.
     bench::BenchJson json;
     json.add("bench", std::string("serve_load"));
     json.add("backend", opts.backend);
@@ -1334,9 +1318,6 @@ int main(int argc, char** argv) {
     json.add("latency_p99_s", lat_p99);
     json.add("latency_max_s", lat_max);
     json.add("queue_wait_p99_s", qw_p99);
-    json.add("overlap_sim_seconds", overlap_seconds);
-    json.add("fill_span_sim_seconds", fill_span_seconds);
-    json.add("overlap_fraction", overlap_fraction);
     if (quality_report.has_value()) {
       json.add("scrub_tier", static_cast<double>(quality_report->tier));
       json.add("scrub_passes", static_cast<double>(quality_report->passes));

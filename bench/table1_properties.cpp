@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
     // 64-bit number (rand() serialises on a futex; it is not thread safe).
     const double t = static_cast<double>(n) * 2.0 * 20e-9;
     volatile std::uint32_t sink = 0;
-    for (int i = 0; i < 1000; ++i) sink += g.next_31();  // exercise the code
+    for (int i = 0; i < 1000; ++i) sink = sink + g.next_31();  // exercise
     rows.push_back({"glibc rand()", true, false, false, false, t});
   }
 

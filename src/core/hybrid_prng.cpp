@@ -51,12 +51,6 @@ void HybridPrng::set_metrics(obs::MetricsRegistry* registry) {
       &registry->histogram("hprng.core.round_transfer_seconds");
   ins_.round_generate_seconds =
       &registry->histogram("hprng.core.round_generate_seconds");
-  ins_.serve_overlap_seconds =
-      &registry->counter("hprng.core.serve_overlap_seconds");
-  ins_.serve_fill_span_seconds =
-      &registry->counter("hprng.core.serve_fill_span_seconds");
-  ins_.serve_pipeline_depth =
-      &registry->gauge("hprng.core.serve_pipeline_depth");
   // Info gauges, set eagerly: the dispatch decision is process-global and
   // fixed by the time a registry is attached.
   ins_.simd_kernel = &registry->gauge("hprng.core.simd_kernel");
@@ -285,20 +279,10 @@ std::uint64_t HybridPrng::serve_feed_root(std::uint64_t walk) {
   return serve_root_cache_[w];
 }
 
-std::shared_ptr<HybridPrng::ServeScratch> HybridPrng::acquire_serve_scratch() {
-  if (!serve_scratch_pool_.empty()) {
-    std::shared_ptr<ServeScratch> rec = std::move(serve_scratch_pool_.back());
-    serve_scratch_pool_.pop_back();
-    return rec;
-  }
-  ++serve_scratch_allocs_;
-  return std::make_shared<ServeScratch>();
-}
-
-bool HybridPrng::begin_fill_leased(std::span<const LeasedDraw> draws) {
-  HPRNG_CHECK(!draws.empty(), "begin_fill_leased: empty draw list");
-  HPRNG_CHECK(serve_inflight_count_ < max_inflight_fills(),
-              "begin_fill_leased: pipeline full — finish_fill_leased first");
+HybridPrng::LeasedFill HybridPrng::fill_leased(
+    std::span<const LeasedDraw> draws) {
+  LeasedFill res;
+  if (draws.empty()) return res;
   std::uint64_t threads = 0;
   std::uint64_t max_draws = 1;
   for (const LeasedDraw& d : draws) {
@@ -306,55 +290,41 @@ bool HybridPrng::begin_fill_leased(std::span<const LeasedDraw> draws) {
     max_draws = std::max<std::uint64_t>(max_draws, d.out.size());
   }
   if (!initialize(threads)) {  // incremental: live walks keep their state
-    return false;              // nothing was enqueued
+    res.ok = false;            // nothing was enqueued
+    return res;
   }
 
   // One packed wpd-per-draw feed slice per listed walk, one kernel thread
   // per listed walk (walks not listed cost nothing — unlike the batched
   // path, the serve pass is sized by the requests, not the walk range).
+  // The staging buffers are reused by every fill: each fill synchronizes
+  // before it returns, so no earlier op can still hold a span into them.
   const std::uint64_t wpd = words_per_draw();
-  const int slot = serve_next_slot_;
-  serve_next_slot_ ^= 1;
-
-  std::shared_ptr<ServeScratch> rec = acquire_serve_scratch();
-  rec->fills.assign(draws.begin(), draws.end());
-  rec->offset.resize(draws.size() + 1);
-  rec->pos.resize(draws.size());
-  rec->roots.resize(draws.size());
-  rec->snapshot.clear();
-  rec->offset[0] = 0;
+  serve_offset_.resize(draws.size() + 1);
+  serve_offset_[0] = 0;
   for (std::size_t i = 0; i < draws.size(); ++i) {
-    rec->offset[i + 1] = rec->offset[i] + wpd * draws[i].out.size();
+    serve_offset_[i + 1] = serve_offset_[i] + wpd * draws[i].out.size();
   }
-  const std::uint64_t words = rec->offset.back();
-  if (serve_host_bin_[slot].size() < words ||
-      serve_device_bin_[slot].size() < words) {
-    // Growth may move storage that pending ops hold spans into.
-    device_.synchronize();
-    if (serve_host_bin_[slot].size() < words) {
-      serve_host_bin_[slot].resize(static_cast<std::size_t>(words));
-    }
-    if (serve_device_bin_[slot].size() < words) {
-      serve_device_bin_[slot].resize(words);
-    }
+  const std::uint64_t words = serve_offset_.back();
+  if (serve_host_bin_.size() < words) {
+    serve_host_bin_.resize(static_cast<std::size_t>(words));
   }
+  if (serve_device_bin_.size() < words) serve_device_bin_.resize(words);
   if (serve_feed_pos_.size() < threads) {
     serve_feed_pos_.resize(static_cast<std::size_t>(threads), 0);
-    serve_feed_pending_.resize(static_cast<std::size_t>(threads), 0);
     serve_seen_.resize(static_cast<std::size_t>(threads), 0);
   }
 
   // Duplicate-walk check over the reusable arena (flags reset below), plus
-  // — only when faults are possible, i.e. depth 1 under an injector — the
-  // transactional snapshot of the listed states. With fills in flight the
-  // states are not current (earlier kernels have not executed), which is
-  // exactly why max_inflight_fills() is 1 whenever a rollback could occur.
+  // — only when faults are possible — the transactional snapshot of the
+  // listed states.
+  serve_snapshot_.clear();
   for (const LeasedDraw& d : draws) {
     char& flag = serve_seen_[static_cast<std::size_t>(d.walk)];
     HPRNG_CHECK(flag == 0, "fill_leased: walk listed twice");
     flag = 1;
     if (fault_injector_ != nullptr) {
-      rec->snapshot.emplace_back(
+      serve_snapshot_.emplace_back(
           d.walk, states_.device_span()[static_cast<std::size_t>(d.walk)]);
     }
   }
@@ -362,29 +332,15 @@ bool HybridPrng::begin_fill_leased(std::span<const LeasedDraw> draws) {
     serve_seen_[static_cast<std::size_t>(d.walk)] = 0;
   }
 
-  // Absolute feed counters captured at begin time: committed position plus
-  // whatever earlier in-flight passes still owe this walk, so overlapped
-  // fills read consecutive counter ranges exactly as serial fills would.
-  for (std::size_t i = 0; i < draws.size(); ++i) {
-    const auto w = static_cast<std::size_t>(draws[i].walk);
-    rec->roots[i] = serve_feed_root(draws[i].walk);
-    rec->pos[i] = serve_feed_pos_[w] + serve_feed_pending_[w];
-    serve_feed_pending_[w] += wpd * draws[i].out.size();
-  }
+  // The fill is timed from an idle machine: nothing submitted before it
+  // can overlap it in virtual time.
+  device_.engine().fence();
 
-  if (serve_inflight_count_ == 0) {
-    // Serial semantics preserved: a fill entering an idle pipeline is
-    // timed from an idle machine, exactly like the old synchronous path.
-    // A fill entering a busy pipeline must NOT fence — the overlap with
-    // the in-flight fill's GENERATE is the whole point.
-    device_.engine().fence();
-  }
-
-  // FEED: each listed walk's counter-addressed words into this slot's
-  // packed staging buffer. Charged at the feeder's production cost model;
-  // the injector is consulted at enqueue time, under the owner's lock, so
-  // event ordinals are deterministic (docs/FAULTS.md). May not overwrite
-  // the staging slot until the slot's previous TRANSFER has read it.
+  // FEED: each listed walk's counter-addressed words, from its committed
+  // feed position, into the packed staging buffer. Charged at the feeder's
+  // production cost model; the injector is consulted at enqueue time,
+  // under the owner's lock, so event ordinals are deterministic
+  // (docs/FAULTS.md).
   double feed_seconds =
       feeder_.seconds_for_words(static_cast<std::size_t>(words)) +
       device_.spec().host_api_call_overhead_us * 1e-6;
@@ -395,26 +351,18 @@ bool HybridPrng::begin_fill_leased(std::span<const LeasedDraw> draws) {
     feed_seconds += o.delay_seconds;
     feed_drop = o.fail();
   }
-  std::vector<sim::OpId> feed_deps;
-  if (serve_slot_transfer_[slot] != sim::kNoOp) {
-    feed_deps.push_back(serve_slot_transfer_[slot]);
-  }
   util::ThreadPool* pool = device_.pool();
   const sim::OpId feed = device_.host_task(
-      feed_stream_, "FEED", feed_seconds,
-      [this, rec, slot, feed_drop, pool] {
-        if (feed_drop) {
-          // Underrun: positions are uncommitted, so the retry's feed is
-          // exactly the one this fill owed.
-          ++serve_feed_faults_;
-          return;
-        }
-        std::uint32_t* bin = serve_host_bin_[slot].data();
-        for (std::size_t i = 0; i < rec->fills.size(); ++i) {
-          const std::uint64_t root = rec->roots[i];
-          const std::uint64_t pos = rec->pos[i];
-          std::uint32_t* out = bin + rec->offset[i];
-          const std::uint64_t n = rec->offset[i + 1] - rec->offset[i];
+      feed_stream_, "FEED", feed_seconds, [this, draws, feed_drop, pool] {
+        // Underrun: positions are uncommitted, so the retry's feed is
+        // exactly the one this fill owed.
+        if (feed_drop) return;
+        for (std::size_t i = 0; i < draws.size(); ++i) {
+          const std::uint64_t root = serve_feed_root(draws[i].walk);
+          const std::uint64_t pos =
+              serve_feed_pos_[static_cast<std::size_t>(draws[i].walk)];
+          std::uint32_t* out = serve_host_bin_.data() + serve_offset_[i];
+          const std::uint64_t n = serve_offset_[i + 1] - serve_offset_[i];
           // Counter-addressed derive is embarrassingly parallel: word k is
           // a pure function of (root, pos + k), so any split of the index
           // range is bit-exact; the fixed chunk grid matches BitFeeder's,
@@ -434,29 +382,19 @@ bool HybridPrng::begin_fill_leased(std::span<const LeasedDraw> draws) {
                                   static_cast<std::size_t>(n));
           }
         }
-      },
-      feed_deps);
+      });
 
-  // TRANSFER: may not overwrite the device bin until the kernel that
-  // consumed it last has finished (double-buffer discipline).
-  std::vector<sim::OpId> copy_deps{feed};
-  if (serve_slot_consumer_[slot] != sim::kNoOp) {
-    copy_deps.push_back(serve_slot_consumer_[slot]);
-  }
   sim::Stream xfer;
   const sim::OpId copy = device_.memcpy_h2d(
       xfer,
-      std::span<const std::uint32_t>(serve_host_bin_[slot])
+      std::span<const std::uint32_t>(serve_host_bin_)
           .first(static_cast<std::size_t>(words)),
-      serve_device_bin_[slot], copy_deps);
-  serve_slot_transfer_[slot] = copy;
+      serve_device_bin_, {feed});
 
   // GENERATE: every draw starts on a fresh word-aligned reader over its
   // own wpd-word slice — the same per-draw budget the batched path
   // provisions per round — which is what makes a walk's stream invariant
-  // to how its draws are batched across fills. Kernels chain in order on
-  // the compute stream, so overlapped fills advance walk states in exactly
-  // the order the fills were begun.
+  // to how its draws are batched across fills.
   const sim::KernelCost cost{
       device_ops_for_draws(static_cast<double>(max_draws)),
       static_cast<double>(wpd * max_draws) * 4.0 +
@@ -469,22 +407,22 @@ bool HybridPrng::begin_fill_leased(std::span<const LeasedDraw> draws) {
     kernel = device_.launch_batched(
         compute_stream_, "Generate(serve)",
         static_cast<std::uint64_t>(draws.size()), cost, simd::kWalkGroup,
-        [this, rec, slot, wpd](std::uint64_t lo, std::uint64_t hi) {
-          serve_walk_group(*rec, slot, wpd, lo, hi);
+        [this, draws, wpd](std::uint64_t lo, std::uint64_t hi) {
+          serve_walk_group(draws, wpd, lo, hi);
         },
         {copy});
   } else {
     kernel = device_.launch(
         compute_stream_, "Generate(serve)",
         static_cast<std::uint64_t>(draws.size()), cost,
-        [this, rec, slot, wpd](std::uint64_t tid) {
-          const LeasedDraw& d = rec->fills[static_cast<std::size_t>(tid)];
+        [this, draws, wpd](std::uint64_t tid) {
+          const LeasedDraw& d = draws[static_cast<std::size_t>(tid)];
           WalkState* state =
               &states_.device_span()[static_cast<std::size_t>(d.walk)];
-          auto bin = serve_device_bin_[slot].device_span().subspan(
-              static_cast<std::size_t>(rec->offset[tid]),
-              static_cast<std::size_t>(rec->offset[tid + 1] -
-                                       rec->offset[tid]));
+          auto bin = serve_device_bin_.device_span().subspan(
+              static_cast<std::size_t>(serve_offset_[tid]),
+              static_cast<std::size_t>(serve_offset_[tid + 1] -
+                                       serve_offset_[tid]));
           for (std::size_t j = 0; j < d.out.size(); ++j) {
             BitReader bits{bin.subspan(static_cast<std::size_t>(j * wpd),
                                        static_cast<std::size_t>(wpd))};
@@ -494,37 +432,46 @@ bool HybridPrng::begin_fill_leased(std::span<const LeasedDraw> draws) {
         },
         {copy});
   }
-  serve_slot_consumer_[slot] = kernel;
+  if (metrics_ != nullptr) ins_.rounds->add(1);
 
-  const int tail = (serve_inflight_head_ + serve_inflight_count_) % 2;
-  serve_inflight_[tail] =
-      ServeInflight{std::move(rec), slot, feed, copy, kernel};
-  ++serve_inflight_count_;
-  if (metrics_ != nullptr) {
-    ins_.rounds->add(1);
-    ins_.serve_pipeline_depth->set(
-        static_cast<double>(serve_inflight_count_));
+  device_.synchronize();
+  sim::Engine& engine = device_.engine();
+  res.sim_seconds = engine.end_time(kernel) - engine.start_time(feed);
+
+  const std::uint64_t faults = device_.take_transfer_faults() +
+                               feeder_.take_faults() + (feed_drop ? 1 : 0);
+  if (faults != 0) {
+    // Roll the transaction back: listed walks return to their pre-call
+    // states and (by never committing) feed positions.
+    for (const auto& [walk, state] : serve_snapshot_) {
+      states_.device_span()[static_cast<std::size_t>(walk)] = state;
+    }
+    res.ok = false;
+  } else {
+    for (const LeasedDraw& d : draws) {
+      serve_feed_pos_[static_cast<std::size_t>(d.walk)] += wpd * d.out.size();
+    }
   }
-  return true;
+  return res;
 }
 
-void HybridPrng::serve_walk_group(const ServeScratch& rec, int slot,
+void HybridPrng::serve_walk_group(std::span<const LeasedDraw> draws,
                                   std::uint64_t wpd, std::uint64_t lo,
                                   std::uint64_t hi) {
   simd::WalkLane lanes[simd::kWalkGroup];
   const int n = static_cast<int>(hi - lo);
-  const std::uint32_t* bin = serve_device_bin_[slot].device_span().data();
+  const std::uint32_t* bin = serve_device_bin_.device_span().data();
   const auto states = states_.device_span();
   // Listed walks differ in draw count; the lanes advance their common
   // prefix in lockstep and each lane's ragged remainder finishes on the
   // per-draw scalar path. Both paths are exact per draw, so the result is
   // the per-tid kernel's, draw for draw.
-  std::uint64_t common = rec.fills[static_cast<std::size_t>(lo)].out.size();
+  std::uint64_t common = draws[static_cast<std::size_t>(lo)].out.size();
   for (int l = 0; l < n; ++l) {
     const std::size_t i = static_cast<std::size_t>(lo) + l;
-    const LeasedDraw& d = rec.fills[i];
+    const LeasedDraw& d = draws[i];
     const WalkState& s = states[static_cast<std::size_t>(d.walk)];
-    lanes[l] = simd::WalkLane{s.v.x, s.v.y, bin + rec.offset[i],
+    lanes[l] = simd::WalkLane{s.v.x, s.v.y, bin + serve_offset_[i],
                               d.out.data()};
     common = std::min<std::uint64_t>(common, d.out.size());
   }
@@ -532,97 +479,17 @@ void HybridPrng::serve_walk_group(const ServeScratch& rec, int slot,
                    cfg_.walk_len, cfg_.policy, cfg_.finalize_output);
   for (int l = 0; l < n; ++l) {
     const std::size_t i = static_cast<std::size_t>(lo) + l;
-    const LeasedDraw& d = rec.fills[i];
+    const LeasedDraw& d = draws[i];
     WalkState* state = &states[static_cast<std::size_t>(d.walk)];
     state->v = Vertex{lanes[l].x, lanes[l].y};
     for (std::size_t j = static_cast<std::size_t>(common); j < d.out.size();
          ++j) {
       BitReader bits{std::span<const std::uint32_t>(
-          bin + rec.offset[i] + j * wpd, static_cast<std::size_t>(wpd))};
+          bin + serve_offset_[i] + j * wpd, static_cast<std::size_t>(wpd))};
       ThreadRng rng(state, bits, &cfg_);
       d.out[j] = rng.next();
     }
   }
-}
-
-HybridPrng::LeasedFill HybridPrng::finish_fill_leased() {
-  HPRNG_CHECK(serve_inflight_count_ > 0,
-              "finish_fill_leased: nothing in flight");
-  ServeInflight inf = std::move(serve_inflight_[serve_inflight_head_]);
-  serve_inflight_[serve_inflight_head_] = ServeInflight{};
-  serve_inflight_head_ = (serve_inflight_head_ + 1) % 2;
-  --serve_inflight_count_;
-
-  device_.synchronize();  // no-op when a later fill's finish already ran it
-
-  sim::Engine& engine = device_.engine();
-  const double feed_start = engine.start_time(inf.feed);
-  const double copy_end = engine.end_time(inf.copy);
-  const double kernel_start = engine.start_time(inf.kernel);
-  const double kernel_end = engine.end_time(inf.kernel);
-
-  LeasedFill res;
-  res.sim_seconds = kernel_end - feed_start;
-
-  if (metrics_ != nullptr) {
-    ins_.serve_fill_span_seconds->add(res.sim_seconds);
-    // Overlap realised against the previous fill's GENERATE: the part of
-    // this fill's FEED→TRANSFER window that ran during that kernel. Zero
-    // whenever a fence separated the fills (idle pipeline), by construction.
-    const double lo = std::max(feed_start, serve_prev_kernel_start_);
-    const double hi = std::min(copy_end, serve_prev_kernel_end_);
-    if (hi > lo) ins_.serve_overlap_seconds->add(hi - lo);
-    ins_.serve_pipeline_depth->set(
-        static_cast<double>(serve_inflight_count_));
-  }
-  serve_prev_kernel_start_ = kernel_start;
-  serve_prev_kernel_end_ = kernel_end;
-
-  const std::uint64_t wpd = words_per_draw();
-  const std::uint64_t faults = device_.take_transfer_faults() +
-                               feeder_.take_faults() + serve_feed_faults_;
-  serve_feed_faults_ = 0;
-  if (faults != 0) {
-    // Roll the transaction back: listed walks return to their pre-call
-    // states and (by never committing) feed positions. Faults require an
-    // injector, which caps the pipeline at depth 1 — so the snapshot taken
-    // at begin time is the state this fill actually started from.
-    for (const auto& [walk, state] : inf.rec->snapshot) {
-      states_.device_span()[static_cast<std::size_t>(walk)] = state;
-    }
-    for (const LeasedDraw& d : inf.rec->fills) {
-      serve_feed_pending_[static_cast<std::size_t>(d.walk)] -=
-          wpd * d.out.size();
-    }
-    res.ok = false;
-  } else {
-    for (const LeasedDraw& d : inf.rec->fills) {
-      const auto w = static_cast<std::size_t>(d.walk);
-      const std::uint64_t n = wpd * d.out.size();
-      serve_feed_pos_[w] += n;
-      serve_feed_pending_[w] -= n;
-    }
-  }
-
-  // Recycle the scratch record: run_all() above released the pipeline
-  // closures' references, so ours is normally the last one. If anything
-  // still holds the record, let that reference own it and allocate fresh
-  // next time (never reuse a record someone can still read).
-  if (inf.rec.use_count() == 1) {
-    serve_scratch_pool_.push_back(std::move(inf.rec));
-  }
-  return res;
-}
-
-HybridPrng::LeasedFill HybridPrng::fill_leased(
-    std::span<const LeasedDraw> draws) {
-  LeasedFill res;
-  if (draws.empty()) return res;
-  if (!begin_fill_leased(draws)) {
-    res.ok = false;
-    return res;
-  }
-  return finish_fill_leased();
 }
 
 sim::OpId HybridPrng::enqueue_batch_round(std::uint64_t threads,
@@ -733,12 +600,6 @@ std::vector<std::uint64_t> HybridPrng::generate(std::uint64_t n,
 }
 
 void HybridPrng::save_state(state::SnapshotWriter& writer) const {
-  HPRNG_CHECK(serve_inflight_count_ == 0,
-              "HybridPrng::save_state: serve fills in flight (quiesce first)");
-  for (const std::uint64_t pending : serve_feed_pending_) {
-    HPRNG_CHECK(pending == 0,
-                "HybridPrng::save_state: uncommitted feed words pending");
-  }
   // Config echo: enough to prove a restore target would replay the exact
   // stream. Everything here changes either the feed stream or the walk.
   writer.put_u64(cfg_.seed);
@@ -765,8 +626,6 @@ void HybridPrng::save_state(state::SnapshotWriter& writer) const {
 }
 
 bool HybridPrng::load_state(state::SectionReader& reader, std::string* error) {
-  HPRNG_CHECK(serve_inflight_count_ == 0,
-              "HybridPrng::load_state: serve fills in flight");
   const std::uint64_t seed = reader.get_u64();
   const auto init_walk_len = static_cast<int>(reader.get_u32());
   const auto walk_len = static_cast<int>(reader.get_u32());
@@ -819,7 +678,6 @@ bool HybridPrng::load_state(state::SectionReader& reader, std::string* error) {
   initialized_threads_ = threads;
   feeder_.advance_to(feeder_words);
   serve_feed_pos_ = std::move(pos);
-  serve_feed_pending_.assign(serve_feed_pos_.size(), 0);
   serve_seen_.assign(serve_feed_pos_.size(), 0);
   // Root caches are pure functions of (seed, walk): recomputed on demand.
   serve_root_cache_.clear();

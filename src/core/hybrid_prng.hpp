@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "expander/bit_reader.hpp"
@@ -207,8 +207,8 @@ class HybridPrng {
     double sim_seconds = 0.0;
   };
 
-  /// Serve-layer batched fill (hprng::serve::RngService): provision ONE
-  /// pipelined FEED/TRANSFER/GENERATE pass with a packed feed slice per
+  /// Serve-layer batched fill (hprng::serve::RngService): ONE fenced,
+  /// synchronous FEED/TRANSFER/GENERATE pass with a packed feed slice per
   /// listed walk and one kernel thread per listed walk — this is how small
   /// client requests coalesce. Each walk may appear at most once per call.
   ///
@@ -223,55 +223,7 @@ class HybridPrng {
   /// listed walks roll back to their pre-call states and feed positions
   /// (result.ok = false), so a retry — possibly in a different batch —
   /// reproduces exactly the words the failed attempt owed.
-  ///
-  /// Equivalent to begin_fill_leased() + finish_fill_leased(); callers that
-  /// want fill N+1's FEED/TRANSFER to overlap fill N's GENERATE use the
-  /// split form directly.
   LeasedFill fill_leased(std::span<const LeasedDraw> draws);
-
-  // -- Pipelined serve fills (docs/PERFORMANCE.md) --------------------------
-  //
-  // The split protocol: begin_fill_leased() enqueues one FEED/TRANSFER/
-  // GENERATE pass and returns immediately; finish_fill_leased() completes
-  // the OLDEST in-flight pass (FIFO) and commits — or on a fault rolls
-  // back — its walks' feed positions and states. Up to max_inflight_fills()
-  // passes may be in flight, double-buffered over two serve staging slots,
-  // so fill N+1's FEED and H2D TRANSFER overlap fill N's GENERATE kernel.
-  //
-  // Stream identity is untouched: each pass's feed words are addressed by
-  // absolute per-walk counters captured at begin time (committed positions
-  // plus the words still owed to earlier in-flight passes), and GENERATE
-  // kernels chain in order on the compute stream, so outputs are
-  // bit-identical to issuing the same fills serially.
-
-  /// Enqueue one serve fill without waiting for it. Returns false when the
-  /// implied initialize() failed (injected fault): nothing was enqueued.
-  /// Requires in_flight_fills() < max_inflight_fills() and non-empty draws.
-  bool begin_fill_leased(std::span<const LeasedDraw> draws);
-
-  /// Complete the oldest in-flight fill: runs the engine forward, commits
-  /// the pass's feed positions (or rolls its walks back on a fault) and
-  /// returns the same result fill_leased() would have.
-  LeasedFill finish_fill_leased();
-
-  /// Passes begun but not yet finished.
-  [[nodiscard]] int in_flight_fills() const { return serve_inflight_count_; }
-
-  /// Pipeline capacity: 2 (double-buffered), or 1 while a fault injector is
-  /// attached — transactional rollback needs each pass's fault attribution
-  /// to be unambiguous, so chaos runs serialise (and without an injector a
-  /// fill can never fail, which is what makes depth 2 safe to commit).
-  [[nodiscard]] int max_inflight_fills() const {
-    return fault_injector_ == nullptr ? 2 : 1;
-  }
-
-  /// Scratch-arena records ever allocated by the serve path (not per fill:
-  /// records recycle through a free pool once the engine releases their
-  /// pipeline closures). Steady-state fills allocate none — the property
-  /// pool_determinism_test pins.
-  [[nodiscard]] std::uint64_t serve_scratch_allocations() const {
-    return serve_scratch_allocs_;
-  }
 
   /// Attach (or with nullptr, detach) a fault injector (docs/FAULTS.md):
   /// forwards to Device::set_fault_injector and BitFeeder::
@@ -279,11 +231,7 @@ class HybridPrng {
   /// counter feed. With an injector attached, initialize() and
   /// fill_leased() turn injected transfer/feed failures into explicit
   /// failed results with the walks rolled back (see their contracts).
-  /// Attaching/detaching changes max_inflight_fills(), so it is a contract
-  /// violation while serve fills are in flight.
   void set_fault_injector(fault::Injector* injector, int target = 0) {
-    HPRNG_CHECK(serve_inflight_count_ == 0,
-                "set_fault_injector: serve fills in flight");
     device_.set_fault_injector(injector, target);
     feeder_.set_fault_injector(injector, target);
     fault_injector_ = injector;
@@ -294,9 +242,8 @@ class HybridPrng {
 
   /// Serialise the generator's complete deterministic state into the
   /// currently-open snapshot section: a config echo, the feeder's stream
-  /// position, every initialised walk's vertex, and the committed serve
-  /// feed cursors. Requires a quiesced pipeline — no in-flight serve
-  /// fills and no pending (uncommitted) feed words; both are checked.
+  /// position, every initialised walk's vertex, and the serve feed
+  /// cursors (always committed between fills: fill_leased is synchronous).
   void save_state(state::SnapshotWriter& writer) const;
 
   /// Restore state written by save_state() into a generator constructed
@@ -345,9 +292,6 @@ class HybridPrng {
     obs::Histogram* round_feed_seconds = nullptr;
     obs::Histogram* round_transfer_seconds = nullptr;
     obs::Histogram* round_generate_seconds = nullptr;
-    obs::Counter* serve_overlap_seconds = nullptr;
-    obs::Counter* serve_fill_span_seconds = nullptr;
-    obs::Gauge* serve_pipeline_depth = nullptr;
     obs::Gauge* simd_kernel = nullptr;  ///< simd::Kernel id (0/1/2)
     obs::Gauge* simd_lanes = nullptr;   ///< u32 lanes of that kernel
   };
@@ -381,69 +325,32 @@ class HybridPrng {
   sim::Stream feed_stream_;
   sim::Stream compute_stream_;
 
-  // -- Serve-path fill state (fill_leased / begin+finish) -------------------
+  // -- Serve-path fill state (fill_leased) -----------------------------------
   //
-  // Double-buffered like the batch path: two staging/device slot pairs with
-  // transfer/consumer dependency edges, so two fills can be in flight with
-  // fill N+1's FEED+TRANSFER overlapping fill N's GENERATE. Each walk's
-  // feed position is committed only when its fill lands, so a failed fill's
-  // retry replays the exact words the failure owed; positions owed to
-  // still-in-flight passes live in serve_feed_pending_ so the next begin
-  // feeds from the right absolute counter.
-
-  /// One fill's immutable scratch record. Both pipeline lambdas (FEED and
-  /// GENERATE) share a single shared_ptr to it instead of copying three
-  /// vectors each; records recycle through serve_scratch_pool_ once the
-  /// engine drops the closures, so steady-state fills allocate nothing.
-  struct ServeScratch {
-    std::vector<LeasedDraw> fills;
-    std::vector<std::uint64_t> offset;  ///< fills.size()+1 packed-bin bounds
-    std::vector<std::uint64_t> pos;     ///< absolute feed counter per fill
-    std::vector<std::uint64_t> roots;   ///< serve feed root per fill
-    std::vector<std::pair<std::uint64_t, expander::WalkState>> snapshot;
-  };
-
-  /// Bookkeeping of one in-flight pass (FIFO ring of two).
-  struct ServeInflight {
-    std::shared_ptr<ServeScratch> rec;
-    int slot = 0;
-    sim::OpId feed = sim::kNoOp;
-    sim::OpId copy = sim::kNoOp;
-    sim::OpId kernel = sim::kNoOp;
-  };
-
-  std::shared_ptr<ServeScratch> acquire_serve_scratch();
+  // One staging/device buffer pair and one scratch arena, reused by every
+  // fill, so steady-state fills grow none of them. Each walk's feed position
+  // is committed only when its fill lands, so a failed fill's retry
+  // replays the exact words the failure owed.
 
   /// Functional body of one serve GENERATE tid group [lo, hi): the listed
   /// walks advance their common draw-count prefix in vector lockstep
   /// (simd::walk_draws) and finish ragged per-walk remainders on the
   /// scalar per-draw path — bit-identical to the per-tid kernel for every
   /// group partition. Only used when walk_vectorizable(policy, mode).
-  void serve_walk_group(const ServeScratch& rec, int slot, std::uint64_t wpd,
+  void serve_walk_group(std::span<const LeasedDraw> draws, std::uint64_t wpd,
                         std::uint64_t lo, std::uint64_t hi);
 
-  std::vector<std::uint32_t> serve_host_bin_[2];
-  sim::Buffer<std::uint32_t> serve_device_bin_[2];
-  sim::OpId serve_slot_transfer_[2] = {sim::kNoOp, sim::kNoOp};
-  sim::OpId serve_slot_consumer_[2] = {sim::kNoOp, sim::kNoOp};
-  int serve_next_slot_ = 0;
+  std::vector<std::uint32_t> serve_host_bin_;
+  sim::Buffer<std::uint32_t> serve_device_bin_;
+  std::vector<std::uint64_t> serve_offset_;  ///< packed-bin bounds, n + 1
+  std::vector<std::pair<std::uint64_t, expander::WalkState>>
+      serve_snapshot_;  ///< listed walks' pre-fill states (injector only)
 
-  ServeInflight serve_inflight_[2];
-  int serve_inflight_head_ = 0;
-  int serve_inflight_count_ = 0;
-  double serve_prev_kernel_start_ = 0.0;  ///< previous fill's GENERATE span
-  double serve_prev_kernel_end_ = 0.0;    ///< (for the overlap instrument)
-
-  std::vector<std::shared_ptr<ServeScratch>> serve_scratch_pool_;
-  std::uint64_t serve_scratch_allocs_ = 0;
-
-  std::vector<std::uint64_t> serve_feed_pos_;      ///< committed words
-  std::vector<std::uint64_t> serve_feed_pending_;  ///< owed to in-flight
+  std::vector<std::uint64_t> serve_feed_pos_;  ///< committed words per walk
   std::vector<std::uint64_t> serve_root_cache_;
   std::vector<char> serve_root_known_;
   std::vector<char> serve_seen_;  ///< duplicate-walk check arena
 
-  std::uint64_t serve_feed_faults_ = 0;
   fault::Injector* fault_injector_ = nullptr;
   int fault_target_ = 0;
 };

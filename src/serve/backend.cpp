@@ -94,27 +94,6 @@ class HybridShard final : public ShardBackend {
     return FillResult{r.ok, r.sim_seconds};
   }
 
-  [[nodiscard]] int pipeline_depth() const override {
-    return prng_->max_inflight_fills();
-  }
-
-  void begin_fill(std::span<const Fill> fills) override {
-    // begin_fill_leased copies the draw list into its own scratch record,
-    // so the arena is free for the next begin immediately. A false return
-    // (fault-corrupted initialize — injector only) means nothing was
-    // enqueued; the matching finish_fill() reports it as a failed pass.
-    begun_ok_.push_back(prng_->begin_fill_leased(to_draws(fills)));
-  }
-
-  FillResult finish_fill() override {
-    HPRNG_CHECK(!begun_ok_.empty(), "HybridShard::finish_fill: nothing begun");
-    const bool ok = begun_ok_.front();
-    begun_ok_.erase(begun_ok_.begin());
-    if (!ok) return FillResult{false, 0.0};
-    const core::HybridPrng::LeasedFill r = prng_->finish_fill_leased();
-    return FillResult{r.ok, r.sim_seconds};
-  }
-
   void set_fault_injector(fault::Injector* injector, int target) override {
     prng_->set_fault_injector(injector, target);
   }
@@ -126,8 +105,6 @@ class HybridShard final : public ShardBackend {
   bool save_state(state::SnapshotWriter& writer,
                   std::string* error) const override {
     (void)error;
-    HPRNG_CHECK(begun_ok_.empty(),
-                "HybridShard::save_state: passes in flight");
     prng_->save_state(writer);
     return true;
   }
@@ -152,7 +129,6 @@ class HybridShard final : public ShardBackend {
   sim::Device device_;
   std::unique_ptr<core::HybridPrng> prng_;
   std::vector<core::HybridPrng::LeasedDraw> draws_;
-  std::vector<bool> begun_ok_;  ///< begin results, FIFO with the pipeline
 };
 
 /// The paper's CPU-only variant: one CpuWalkPrng per slot, seeded from the
@@ -228,8 +204,8 @@ class CpuWalkShard final : public ShardBackend {
 ///  * the per-slot checkpoint is the fixed triple {attached, stream,
 ///    draws} (20 bytes), and restore is an O(1) CounterStream::jump_to —
 ///    never a replay of the draw history;
-///  * fills are pure functions, so the default staged begin/finish
-///    protocol is safely pipelined at depth 2 (nothing to roll back).
+///  * fills are pure functions of the coordinates, so there is nothing
+///    to roll back.
 class CounterShard final : public ShardBackend {
  public:
   CounterShard(const ServiceOptions& opts, std::uint64_t shard_seed,
@@ -268,13 +244,6 @@ class CounterShard final : public ShardBackend {
     }
     return {};
   }
-
-  /// Pure-function fills have nothing to roll back, so the inherited
-  /// staged begin/finish protocol is correct at any depth; 2 matches the
-  /// hybrid pipeline's in-flight budget and exercises the service's
-  /// pipelined drive path (pool_determinism-style bit-equality pinned in
-  /// tests/counter_backend_test.cpp).
-  [[nodiscard]] int pipeline_depth() const override { return 2; }
 
   void set_metrics(obs::MetricsRegistry* registry) override {
     if (registry == nullptr) {
@@ -414,7 +383,8 @@ std::unique_ptr<ShardBackend> make_shard_backend(const ServiceOptions& opts,
     return std::make_unique<CounterShard>(opts, shard_seed, std::move(engine));
   }
   HPRNG_CHECK(backend_known(opts.backend),
-              "make_shard_backend: unknown backend '" + opts.backend + "'");
+              ("make_shard_backend: unknown backend '" + opts.backend + "'")
+                  .c_str());
   return std::make_unique<BaselineShard>(opts, opts.backend);
 }
 

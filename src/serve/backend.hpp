@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "serve/options.hpp"
-#include "util/check.hpp"
 
 namespace hprng::fault {
 class Injector;
@@ -79,33 +78,6 @@ class ShardBackend {
   /// per call — the service splits duplicate-slot batches into passes.
   virtual FillResult fill(std::span<const Fill> fills) = 0;
 
-  // -- Pipelined pass protocol (docs/PERFORMANCE.md) ------------------------
-  //
-  // Backends that can overlap successive passes (hybrid: pass N+1's
-  // FEED/TRANSFER against pass N's GENERATE) expose pipeline_depth() > 1;
-  // the service then issues up to that many begin_fill() calls before each
-  // finish_fill(). finish_fill() completes passes in begin order (FIFO) and
-  // returns exactly what fill() would have for that pass. The default
-  // implementations degrade to the synchronous fill(), so every backend
-  // supports the split protocol at depth 1.
-
-  /// Passes the service may keep in flight at once (≥ 1, may change when a
-  /// fault injector is attached — hybrid serialises chaos runs).
-  [[nodiscard]] virtual int pipeline_depth() const { return 1; }
-
-  /// Enqueue one pass without waiting for its result.
-  virtual void begin_fill(std::span<const Fill> fills) {
-    staged_.push_back(fill(fills));
-  }
-
-  /// Complete the oldest in-flight pass and return its result.
-  virtual FillResult finish_fill() {
-    HPRNG_CHECK(!staged_.empty(), "ShardBackend::finish_fill: nothing begun");
-    const FillResult r = staged_.front();
-    staged_.erase(staged_.begin());
-    return r;
-  }
-
   /// Attach (or with nullptr, detach) a fault injector; `target` is this
   /// shard's index. Default no-op — only backends with an instrumented
   /// pipeline (hybrid) have sites of their own; the service-level
@@ -129,14 +101,14 @@ class ShardBackend {
   // currently-open snapshot section; load_state() restores it into a
   // freshly-constructed shard of the same configuration WITHOUT attach()
   // calls — the slots come back mid-stream exactly where the snapshot left
-  // them. Both run under `mu` with no passes in flight (the service
-  // quiesces first). Host backends are seed-addressed, so they restore by
+  // them. Both run under `mu`, which is the pass boundary: fill() is
+  // synchronous. Host backends are seed-addressed, so they restore by
   // replaying each slot's recorded draw count from its lease seed; the
   // hybrid backend delegates to HybridPrng::save_state/load_state (walk
   // vertices + committed feed cursors — O(state), no replay).
 
   /// Returns false (with *error) if the shard cannot be snapshotted in its
-  /// current state. Must not be called with passes in flight.
+  /// current state.
   virtual bool save_state(state::SnapshotWriter& writer,
                           std::string* error) const = 0;
 
@@ -151,10 +123,6 @@ class ShardBackend {
 
   /// Held by whoever calls into this shard (see the threading contract).
   std::mutex mu;
-
- protected:
-  /// Results staged by the default (synchronous) begin_fill().
-  std::vector<FillResult> staged_;
 };
 
 /// Build shard `shard_index` of the pool described by `opts`. The shard

@@ -98,24 +98,29 @@ class DrrQueue {
     return n;
   }
 
-  /// Head-of-line requeue for the retry/failover path: the item returns
-  /// to the FRONT of its tenant's sub-queue and the tenant moves to the
-  /// ring front, so an already-admitted, already-scheduled request is
-  /// the next thing any worker sees. Ignores capacity and closed: the
-  /// item passed admission once, and a closing service still drains it.
-  void requeue_front(T item) {
+  /// Head-of-line requeue for the retry/failover path: the items return,
+  /// in their given order, to the FRONT of their tenants' sub-queues and
+  /// those tenants move to the ring front, so already-admitted,
+  /// already-scheduled requests are the next thing any worker sees. All
+  /// items go back under one lock hold, so no consumer can pop a later
+  /// request of a session before an earlier one is back. Ignores capacity
+  /// and closed: the items passed admission once, and a closing service
+  /// still drains them.
+  void requeue_front(std::vector<T> items) {
     std::lock_guard<std::mutex> lk(mu_);
-    const std::uint64_t tenant = tenant_of_(item);
-    Sub& sub = subs_[tenant];
-    sub.items.push_front(std::move(item));
-    ++total_;
-    ring_remove(tenant);
-    ring_.push_front(tenant);
-    // Requeued work is served on arrears, not fresh credit: keep the
-    // deficit as-is but force a visit so the grant covers the head.
-    sub.visited = false;
+    for (auto it = items.rbegin(); it != items.rend(); ++it) {
+      const std::uint64_t tenant = tenant_of_(*it);
+      Sub& sub = subs_[tenant];
+      sub.items.push_front(std::move(*it));
+      ++total_;
+      ring_remove(tenant);
+      ring_.push_front(tenant);
+      // Requeued work is served on arrears, not fresh credit: keep the
+      // deficit as-is but force a visit so the grant covers the head.
+      sub.visited = false;
+    }
     if (on_size_change_) on_size_change_(total_);
-    not_empty_.notify_one();
+    not_empty_.notify_all();
   }
 
   /// Invoked with the new total size, under the queue lock, whenever it

@@ -541,109 +541,68 @@ void RngService::serve_shard_group(std::size_t s,
 
   {
     ShardBackend& shard = *shards_[s];
-    std::unique_lock<std::mutex> lk(shard.mu);
-
-    // Per-pass success accounting, identical on both serve paths below.
-    const auto account_success =
-        [&](Pass& pass, const ShardBackend::FillResult& result,
-            std::chrono::steady_clock::time_point wall_start,
-            std::chrono::steady_clock::time_point wall_end) {
-          health_[s].consecutive_failures.store(0, std::memory_order_release);
-          std::uint64_t words = 0;
-          for (const ShardBackend::Fill& f : pass.fills) {
-            words += f.out.size();
-          }
-          count(kBatches);
-          count(kNumbersServed, words);
-          if (ins_.batch_requests != nullptr) {
-            ins_.batch_requests->observe(
-                static_cast<double>(pass.fills.size()));
-            ins_.fill_sim_seconds->observe(result.sim_seconds);
-            ins_.fill_wall_seconds->observe(seconds(wall_end - wall_start));
-          }
-          for (RequestPtr& req : pass.reqs) {
-            if (ins_.queue_wait_seconds != nullptr) {
-              ins_.queue_wait_seconds->observe(
-                  seconds(wall_start - req->submit_time));
-            }
-            settle(req, Status::kOk);
-          }
-        };
-
-    // With no injector a fill can neither fail nor need retry, so a
-    // multi-pass group runs software-pipelined: up to pipeline_depth()
-    // passes in flight, pass N+1's begin (FEED + H2D transfer) overlapping
-    // pass N's GENERATE kernel. Chaos runs (injector attached) keep the
-    // serial retry loop — fault attribution and transactional rollback
-    // need one pass in flight at a time.
-    const int depth = opts_.injector == nullptr ? shard.pipeline_depth() : 1;
-    if (depth > 1 && passes.size() > 1) {
-      std::vector<std::chrono::steady_clock::time_point> begun_at(
-          passes.size());
-      std::size_t begun = 0;
-      for (std::size_t done = 0; done < passes.size(); ++done) {
-        while (begun < passes.size() &&
-               begun - done < static_cast<std::size_t>(depth)) {
-          begun_at[begun] = std::chrono::steady_clock::now();
-          shard.begin_fill(passes[begun].fills);
-          ++begun;
-        }
-        const ShardBackend::FillResult result = shard.finish_fill();
-        HPRNG_CHECK(result.ok,
-                    "serve_shard_group: pipelined fill failed with no "
-                    "injector attached");
-        account_success(passes[done], result, begun_at[done],
-                        std::chrono::steady_clock::now());
+    std::lock_guard<std::mutex> lk(shard.mu);
+    bool abandon_rest = false;
+    for (Pass& pass : passes) {
+      if (abandon_rest) {
+        // A session whose earlier pass failed may have later requests in
+        // this tail: serving them now would reorder its stream, so the
+        // whole tail is displaced (requeued in order below).
+        displaced.insert(displaced.end(), pass.reqs.begin(), pass.reqs.end());
+        continue;
       }
-    } else {
-      bool abandon_rest = false;
-      for (Pass& pass : passes) {
-        if (abandon_rest) {
-          // A session whose earlier pass failed may have later requests in
-          // this tail: serving them now would reorder its stream, so the
-          // whole tail is displaced (requeued in order below).
-          displaced.insert(displaced.end(), pass.reqs.begin(),
-                           pass.reqs.end());
-          continue;
-        }
 
-        const auto wall_start = std::chrono::steady_clock::now();
-        ShardBackend::FillResult result;
-        for (int attempt = 0;; ++attempt) {
-          bool dispatch_drop = false;
-          if (opts_.injector != nullptr) {
-            // kShardFill: the dispatch itself fails or stalls. Consulted
-            // under the shard lock, so ordinals are per-shard deterministic.
-            const fault::Outcome o = opts_.injector->on_event(
-                fault::Site::kShardFill, static_cast<int>(s));
-            sleep_seconds(o.delay_seconds);
-            dispatch_drop = o.fail();
-          }
-          result = dispatch_drop ? ShardBackend::FillResult{false, 0.0}
-                                 : shard.fill(pass.fills);
-          if (result.ok || attempt >= opts_.max_fill_retries) break;
-          count(kRetries);
-          backoff(attempt);
+      const auto wall_start = std::chrono::steady_clock::now();
+      ShardBackend::FillResult result;
+      for (int attempt = 0;; ++attempt) {
+        bool dispatch_drop = false;
+        if (opts_.injector != nullptr) {
+          // kShardFill: the dispatch itself fails or stalls. Consulted
+          // under the shard lock, so ordinals are per-shard deterministic.
+          const fault::Outcome o = opts_.injector->on_event(
+              fault::Site::kShardFill, static_cast<int>(s));
+          sleep_seconds(o.delay_seconds);
+          dispatch_drop = o.fail();
         }
-        const auto wall_end = std::chrono::steady_clock::now();
+        result = dispatch_drop ? ShardBackend::FillResult{false, 0.0}
+                               : shard.fill(pass.fills);
+        if (result.ok || attempt >= opts_.max_fill_retries) break;
+        count(kRetries);
+        backoff(attempt);
+      }
+      const auto wall_end = std::chrono::steady_clock::now();
 
-        if (!result.ok) {
-          record_shard_failure(s);
-          abandon_rest = true;
-          displaced.insert(displaced.end(), pass.reqs.begin(),
-                           pass.reqs.end());
-          continue;
+      if (!result.ok) {
+        record_shard_failure(s);
+        abandon_rest = true;
+        displaced.insert(displaced.end(), pass.reqs.begin(), pass.reqs.end());
+        continue;
+      }
+      health_[s].consecutive_failures.store(0, std::memory_order_release);
+      std::uint64_t words = 0;
+      for (const ShardBackend::Fill& f : pass.fills) words += f.out.size();
+      count(kBatches);
+      count(kNumbersServed, words);
+      if (ins_.batch_requests != nullptr) {
+        ins_.batch_requests->observe(static_cast<double>(pass.fills.size()));
+        ins_.fill_sim_seconds->observe(result.sim_seconds);
+        ins_.fill_wall_seconds->observe(seconds(wall_end - wall_start));
+      }
+      for (RequestPtr& req : pass.reqs) {
+        if (ins_.queue_wait_seconds != nullptr) {
+          ins_.queue_wait_seconds->observe(
+              seconds(wall_start - req->submit_time));
         }
-        account_success(pass, result, wall_start, wall_end);
+        settle(req, Status::kOk);
       }
     }
   }  // shard lock released before touching session/lease state
 
   if (displaced.empty()) return;
   // Re-route the displaced tail: move sessions off an ejected shard, then
-  // hand the requests back to the queue head. Requeueing in reverse keeps
-  // their original relative order, which keeps multi-request sessions'
-  // streams sequential.
+  // hand the requests back to the queue head in one step, in their
+  // original order, which keeps multi-request sessions' streams
+  // sequential.
   std::vector<RequestPtr> requeue;
   requeue.reserve(displaced.size());
   for (RequestPtr& req : displaced) {
@@ -658,9 +617,7 @@ void RngService::serve_shard_group(std::size_t s,
       requeue.push_back(req);
     }
   }
-  for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-    queue_.requeue_front(std::move(*it));
-  }
+  queue_.requeue_front(std::move(requeue));
 }
 
 void RngService::record_shard_failure(std::size_t s) {
@@ -911,10 +868,9 @@ bool RngService::checkpoint(const std::string& path, std::string* error) {
     hook = hook_;
   }
   if (hook.prepare) hook.prepare();
-  // Quiesce: pause() returns only once every in-flight batched pass has
-  // finished, and every begin/finish pair completes within a pass under
-  // the shard mutex — so this IS the pass boundary: no in-flight fills,
-  // no pending feed words, committed cursors everywhere.
+  // Quiesce: pause() returns only once every in-flight batch has finished,
+  // and each backend fill is synchronous under the shard mutex — so this
+  // IS the pass boundary: committed feed cursors everywhere.
   pause();
   state::SnapshotWriter w;
 

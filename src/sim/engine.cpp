@@ -82,9 +82,8 @@ double Engine::run_all() {
     timeline_.add({op.resource, op.label, op.start, op.end});
     // Release the functional payload and dependency list: only the recorded
     // times are read after execution (end_time/start_time), and holding the
-    // closures would pin every captured resource — notably the serve path's
-    // shared scratch records, whose reuse pool relies on the engine dropping
-    // its references here — for the engine's whole lifetime.
+    // closures would pin every captured resource for the engine's whole
+    // lifetime.
     op.fn = nullptr;
     op.deps.clear();
     op.deps.shrink_to_fit();

@@ -27,7 +27,9 @@ TEST(BadSet, DeterministicAndMonotoneInBeta) {
   EXPECT_EQ(in_bad_set(12345, 0.3), in_bad_set(12345, 0.3));
   // If a seed is bad at beta it stays bad at any larger beta.
   for (std::uint64_t s : {1ull, 99ull, 424242ull}) {
-    if (in_bad_set(s, 0.2)) EXPECT_TRUE(in_bad_set(s, 0.4));
+    if (in_bad_set(s, 0.2)) {
+      EXPECT_TRUE(in_bad_set(s, 0.4));
+    }
   }
   EXPECT_FALSE(in_bad_set(7, 0.0));
   EXPECT_TRUE(in_bad_set(7, 1.0));

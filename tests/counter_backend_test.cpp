@@ -304,7 +304,7 @@ std::vector<std::vector<std::uint64_t>> serve_streams(
 TEST(CounterServe, ClientStreamsEqualTheClosedFormCoordinates) {
   // The full-stack pin: a served client's words are exactly the
   // CounterStream of (key = shard split root, stream = lease seed) —
-  // the coalesced, pipelined serving machinery adds nothing and loses
+  // the coalescing serving machinery adds nothing and loses
   // nothing. Odd fill sizes keep streams crossing block boundaries
   // mid-fill.
   constexpr int kClients = 5;
@@ -332,7 +332,7 @@ TEST(CounterServe, ClientStreamsEqualTheClosedFormCoordinates) {
 }
 
 TEST(CounterServe, StreamsAreWorkerCountInvariant) {
-  // Serial (1 worker) vs pipelined/concurrent (4 workers): bit-identical
+  // Serial (1 worker) vs concurrent (4 workers): bit-identical
   // per-client streams, the pool_determinism property for the counter
   // family.
   for (const std::string& backend : serve::known_counter_backends()) {

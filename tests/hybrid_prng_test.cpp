@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/hybrid_prng.hpp"
 #include "sim/device.hpp"
+#include "simd/simd.hpp"
 
 namespace hprng::core {
 namespace {
@@ -257,6 +260,50 @@ TEST(HybridPrng, WalkLengthAblationChangesCost) {
   sim::Buffer<std::uint64_t> out2;
   const double t32 = p32.generate_device(500000, 100, out2);
   EXPECT_GT(t32, 2.0 * t4);  // 8x walk work, feed-bound at ~8x bits
+}
+
+TEST(HybridPrng, ServeFillSimulatedClockIsPinned) {
+  // A fixed sequence of serial serve fills: mixed lane counts, walk 0
+  // revisited, and one call wider than simd::kWalkGroup (which also grows
+  // the initialised walk range). Each fill's fenced simulated seconds and
+  // the engine clock after it are pinned bit for bit, so a change to the
+  // serve path's FEED/TRANSFER/GENERATE schedule cannot go unnoticed.
+  // (Fills 0 and 2 also run Algorithm 1 for new walks: that shows in the
+  // clock, not in the fenced fill time.)
+  struct Step {
+    std::vector<std::pair<std::uint64_t, std::size_t>> walks;  // walk, draws
+    double sim_seconds;
+    double now;
+  };
+  std::vector<Step> steps{
+      {{{0, 5}, {1, 3}, {2, 7}}, 0x1.4609fc06a86fdp-15, 0x1.4bc087c41a33p-14},
+      {{{0, 4}}, 0x1.ee64f96fb471p-16, 0x1.c759c620074f4p-14},
+      {{}, 0x1.f12f5035d4d48p-16, 0x1.60eb532228155p-13},
+      {{{3, 16}, {0, 1}}, 0x1.188284f4fc01cp-14, 0x1.ed2c959ca6163p-13},
+  };
+  for (std::uint64_t w = 0; w < 11; ++w) {
+    steps[2].walks.emplace_back(w, static_cast<std::size_t>(2 + w % 3));
+  }
+  ASSERT_GT(steps[2].walks.size(), static_cast<std::size_t>(simd::kWalkGroup));
+
+  sim::Device dev;
+  HybridPrngConfig cfg;
+  cfg.seed = 0x5EEDC10Cu;
+  cfg.walk_len = 8;
+  HybridPrng prng(dev, cfg);
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    std::vector<std::vector<std::uint64_t>> bufs;
+    std::vector<HybridPrng::LeasedDraw> draws;
+    bufs.reserve(steps[i].walks.size());
+    for (const auto& [walk, n] : steps[i].walks) {
+      bufs.emplace_back(n);
+      draws.push_back({walk, std::span(bufs.back())});
+    }
+    const HybridPrng::LeasedFill fill = prng.fill_leased(draws);
+    ASSERT_TRUE(fill.ok) << "fill " << i;
+    EXPECT_EQ(fill.sim_seconds, steps[i].sim_seconds) << "fill " << i;
+    EXPECT_EQ(dev.engine().now(), steps[i].now) << "fill " << i;
+  }
 }
 
 }  // namespace

@@ -3,9 +3,8 @@
 // bit-identical to its serial loop for ANY worker count — the chunk grids
 // are fixed functions of the request size, never of the pool. This suite
 // pins that property across BitFeeder refills, the generator jump-ahead
-// hooks they rely on, batched generation, and serial-vs-pipelined serve
-// fills, plus the serve scratch arena's zero-steady-state-allocation
-// guarantee.
+// hooks they rely on, batched generation, and the serve fills' counter
+// feed.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 
 #include "core/hybrid_prng.hpp"
 #include "host/bit_feeder.hpp"
-#include "obs/metrics.hpp"
 #include "prng/registry.hpp"
 #include "sim/device.hpp"
 #include "util/thread_pool.hpp"
@@ -174,7 +172,7 @@ TEST(HybridPoolTest, GenerateMatchesSerialForAnyWorkerCount) {
   }
 }
 
-// -- Serve fills: serial vs pipelined vs pooled -------------------------------
+// -- Serve fills: serial vs pooled -------------------------------------------
 
 struct ServeHarness {
   explicit ServeHarness(ThreadPool* pool)
@@ -191,13 +189,16 @@ struct ServeHarness {
   HybridPrng prng;
 };
 
-/// Build the draw lists for two passes over `bufs` (reused by every
+/// Build the draw lists for two serial passes over `bufs` (reused by every
 /// harness so the outputs are comparable): pass 0 fills walks 0..2, pass 1
 /// fills walks 0 and 3 — walk 0 appears in both, pinning the cross-pass
-/// feed-position bookkeeping.
+/// feed-position bookkeeping. Walk 1 draws 3 chunks plus a ragged tail of
+/// one-word draws, so its counter feed is large enough for the pooled
+/// branch (at least 2 * BitFeeder::kChunkWords words).
 std::vector<std::vector<HybridPrng::LeasedDraw>> make_passes(
     std::vector<std::vector<std::uint64_t>>& bufs) {
   bufs.assign(5, std::vector<std::uint64_t>(32));
+  bufs[1].resize(3 * BitFeeder::kChunkWords + 5);
   return {
       {{0, std::span(bufs[0])}, {1, std::span(bufs[1])},
        {2, std::span(bufs[2])}},
@@ -205,32 +206,11 @@ std::vector<std::vector<HybridPrng::LeasedDraw>> make_passes(
   };
 }
 
-TEST(ServePipelineTest, PipelinedFillsMatchSerialFills) {
+TEST(ServeFillPoolTest, PooledFillsMatchSerialFills) {
   std::vector<std::vector<std::uint64_t>> serial_bufs;
   {
     ServeHarness h(nullptr);
-    const auto passes = make_passes(serial_bufs);
-    for (const auto& pass : passes) ASSERT_TRUE(h.prng.fill_leased(pass).ok);
-  }
-  {
-    ServeHarness h(nullptr);
-    std::vector<std::vector<std::uint64_t>> bufs;
-    const auto passes = make_passes(bufs);
-    ASSERT_EQ(h.prng.max_inflight_fills(), 2);
-    ASSERT_TRUE(h.prng.begin_fill_leased(passes[0]));
-    ASSERT_TRUE(h.prng.begin_fill_leased(passes[1]));
-    EXPECT_EQ(h.prng.in_flight_fills(), 2);
-    EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-    EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-    EXPECT_EQ(h.prng.in_flight_fills(), 0);
-    EXPECT_EQ(serial_bufs, bufs);
-  }
-}
-
-TEST(ServePipelineTest, PooledFillsMatchSerialFills) {
-  std::vector<std::vector<std::uint64_t>> serial_bufs;
-  {
-    ServeHarness h(nullptr);
+    ASSERT_EQ(h.prng.words_per_draw(), 1u);  // walk 1's draws = feed words
     const auto passes = make_passes(serial_bufs);
     for (const auto& pass : passes) ASSERT_TRUE(h.prng.fill_leased(pass).ok);
   }
@@ -239,92 +219,9 @@ TEST(ServePipelineTest, PooledFillsMatchSerialFills) {
     ServeHarness h(&pool);
     std::vector<std::vector<std::uint64_t>> bufs;
     const auto passes = make_passes(bufs);
-    ASSERT_TRUE(h.prng.begin_fill_leased(passes[0]));
-    ASSERT_TRUE(h.prng.begin_fill_leased(passes[1]));
-    EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-    EXPECT_TRUE(h.prng.finish_fill_leased().ok);
+    for (const auto& pass : passes) ASSERT_TRUE(h.prng.fill_leased(pass).ok);
     EXPECT_EQ(serial_bufs, bufs) << workers << " workers";
   }
-}
-
-TEST(ServePipelineTest, StreamsContinueCorrectlyAfterPipelinedPasses) {
-  // After two overlapped passes, a THIRD pass must read the exact feed
-  // words a fully serial history would have: committed + pending position
-  // bookkeeping is what this pins.
-  std::vector<std::uint64_t> serial_third(32), pipelined_third(32);
-  {
-    ServeHarness h(nullptr);
-    std::vector<std::vector<std::uint64_t>> bufs;
-    const auto passes = make_passes(bufs);
-    for (const auto& pass : passes) ASSERT_TRUE(h.prng.fill_leased(pass).ok);
-    const HybridPrng::LeasedDraw third{0, std::span(serial_third)};
-    ASSERT_TRUE(h.prng.fill_leased(std::span(&third, 1)).ok);
-  }
-  {
-    ServeHarness h(nullptr);
-    std::vector<std::vector<std::uint64_t>> bufs;
-    const auto passes = make_passes(bufs);
-    ASSERT_TRUE(h.prng.begin_fill_leased(passes[0]));
-    ASSERT_TRUE(h.prng.begin_fill_leased(passes[1]));
-    EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-    EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-    const HybridPrng::LeasedDraw third{0, std::span(pipelined_third)};
-    ASSERT_TRUE(h.prng.fill_leased(std::span(&third, 1)).ok);
-  }
-  EXPECT_EQ(serial_third, pipelined_third);
-}
-
-TEST(ServePipelineTest, SteadyStateFillsAllocateNoScratchRecords) {
-  ServeHarness h(nullptr);
-  std::vector<std::vector<std::uint64_t>> bufs;
-  const auto passes = make_passes(bufs);
-
-  // Warm-up: both pipeline slots see traffic.
-  ASSERT_TRUE(h.prng.begin_fill_leased(passes[0]));
-  ASSERT_TRUE(h.prng.begin_fill_leased(passes[1]));
-  EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-  EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-  const std::uint64_t warm = h.prng.serve_scratch_allocations();
-  EXPECT_LE(warm, 2u);  // at most one record per pipeline slot
-
-  // Steady state: serial and pipelined traffic of the same shape recycles
-  // the warm records — the allocation counter must not move.
-  for (int round = 0; round < 16; ++round) {
-    ASSERT_TRUE(h.prng.begin_fill_leased(passes[0]));
-    ASSERT_TRUE(h.prng.begin_fill_leased(passes[1]));
-    EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-    EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-    EXPECT_TRUE(h.prng.fill_leased(passes[0]).ok);
-  }
-  EXPECT_EQ(h.prng.serve_scratch_allocations(), warm);
-}
-
-TEST(ServePipelineTest, OverlapMetricIsPositiveWithTwoFillsInFlight) {
-  if (!hprng::obs::kEnabled) {
-    GTEST_SKIP() << "observability disabled";
-  }
-  hprng::obs::MetricsRegistry metrics;
-  ServeHarness h(nullptr);
-  h.prng.set_metrics(&metrics);
-  std::vector<std::vector<std::uint64_t>> bufs;
-  const auto passes = make_passes(bufs);
-  ASSERT_TRUE(h.prng.begin_fill_leased(passes[0]));
-  ASSERT_TRUE(h.prng.begin_fill_leased(passes[1]));
-  EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-  EXPECT_TRUE(h.prng.finish_fill_leased().ok);
-  // Fill 1's TRANSFER shares the PCIe release point of fill 0's kernel
-  // dependency chain, so some of its FEED->TRANSFER window must land
-  // inside fill 0's GENERATE span.
-  EXPECT_GT(metrics.counter("hprng.core.serve_overlap_seconds").value(), 0.0);
-  EXPECT_GT(metrics.counter("hprng.core.serve_fill_span_seconds").value(),
-            0.0);
-
-  // Serial fills through the same instance fence first: no new overlap.
-  const double overlap =
-      metrics.counter("hprng.core.serve_overlap_seconds").value();
-  EXPECT_TRUE(h.prng.fill_leased(passes[0]).ok);
-  EXPECT_DOUBLE_EQ(
-      metrics.counter("hprng.core.serve_overlap_seconds").value(), overlap);
 }
 
 }  // namespace

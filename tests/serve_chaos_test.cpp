@@ -218,6 +218,72 @@ TEST(ServeChaos, WorkerDelaysOnlyPerturbWallClock) {
   EXPECT_EQ(stats.retries, 0u) << "a slow worker is not a failure";
 }
 
+/// Queue `kTickets` async fills of one session pinned to shard 0 while the
+/// service is paused, so on resume one worker pops them as ONE batch: four
+/// passes on one shard. Returns the session's concatenated words.
+std::vector<std::uint64_t> run_queued_passes(fault::Injector* injector,
+                                             serve::RngService::Stats* stats,
+                                             int* healthy_shards) {
+  constexpr int kTickets = 4;
+  constexpr std::size_t kWords = 16;
+  auto opts = chaos_options("hybrid");
+  opts.max_coalesce = kTickets;
+  opts.injector = injector;
+  serve::RngService service(opts);
+  auto session = service.try_open_session(0);
+  EXPECT_TRUE(session.has_value());
+  if (!session.has_value()) return {};
+  EXPECT_EQ(session->lease().shard, 0);
+
+  std::vector<std::vector<std::uint64_t>> bufs(
+      kTickets, std::vector<std::uint64_t>(kWords));
+  std::vector<serve::Ticket> tickets;
+  service.pause();
+  for (auto& buf : bufs) tickets.push_back(session->fill_async(buf, 30s));
+  service.resume();
+  std::vector<std::uint64_t> words;
+  for (int t = 0; t < kTickets; ++t) {
+    EXPECT_EQ(tickets[static_cast<std::size_t>(t)].wait(),
+              serve::Status::kOk)
+        << "ticket " << t;
+    const auto& buf = bufs[static_cast<std::size_t>(t)];
+    words.insert(words.end(), buf.begin(), buf.end());
+  }
+  service.drain();
+  *stats = service.stats();
+  *healthy_shards = service.healthy_shards();
+  return words;
+}
+
+TEST(ServeChaos, FailedPassRequeuesItsSessionTailInOrder) {
+  // The third of four same-session passes fails both attempts: the serial
+  // retry loop abandons the rest of the group and requeues passes 3 and 4
+  // at the queue head, in order. The session's words must come out exactly
+  // as in a fault-free run.
+  serve::RngService::Stats clean_stats;
+  int clean_healthy = 0;
+  const std::vector<std::uint64_t> clean =
+      run_queued_passes(nullptr, &clean_stats, &clean_healthy);
+  ASSERT_EQ(clean_stats.completed, 4u);
+
+  auto plan = fault::FaultPlan::parse("shard:0:fail:2:2");
+  ASSERT_TRUE(plan.has_value());
+  fault::Injector injector(*plan);
+  serve::RngService::Stats stats;
+  int healthy = 0;
+  const std::vector<std::uint64_t> words =
+      run_queued_passes(&injector, &stats, &healthy);
+
+  EXPECT_EQ(words, clean) << "the requeued tail reordered the stream";
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.submitted, conserved_total(stats));
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.shards_ejected, 0u);
+  EXPECT_EQ(healthy, 4);
+  // Passes 1, 2, 3 (twice), then the requeued 3 and 4: six dispatches.
+  EXPECT_EQ(injector.events(fault::Site::kShardFill, 0), 6u);
+}
+
 TEST(ServeChaos, RandomizedPlanConservesEveryRequest) {
   // Seeded chaos sweep over the pipeline sites (h2d/d2h/feed/shard). The
   // CI chaos job rotates HPRNG_CHAOS_SEED; any failure names the seed, so
