@@ -9,7 +9,6 @@
 #include "state/snapshot.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hprng::core {
 
@@ -25,9 +24,6 @@ HybridPrng::HybridPrng(sim::Device& device, HybridPrngConfig cfg)
       feeder_(device.spec(), cfg.feeder_generator, cfg.seed) {
   HPRNG_CHECK(cfg_.walk_len >= 1, "walk_len must be at least 1");
   HPRNG_CHECK(cfg_.init_walk_len >= 0, "init_walk_len must be >= 0");
-  // The feeder shares the device's worker pool: a pooled platform
-  // parallelises its FEED refills too (bit-identically — see BitFeeder).
-  feeder_.set_pool(device.pool());
 }
 
 void HybridPrng::set_metrics(obs::MetricsRegistry* registry) {
@@ -351,36 +347,20 @@ HybridPrng::LeasedFill HybridPrng::fill_leased(
     feed_seconds += o.delay_seconds;
     feed_drop = o.fail();
   }
-  util::ThreadPool* pool = device_.pool();
   const sim::OpId feed = device_.host_task(
-      feed_stream_, "FEED", feed_seconds, [this, draws, feed_drop, pool] {
+      feed_stream_, "FEED", feed_seconds, [this, draws, feed_drop] {
         // Underrun: positions are uncommitted, so the retry's feed is
         // exactly the one this fill owed.
         if (feed_drop) return;
         for (std::size_t i = 0; i < draws.size(); ++i) {
-          const std::uint64_t root = serve_feed_root(draws[i].walk);
-          const std::uint64_t pos =
-              serve_feed_pos_[static_cast<std::size_t>(draws[i].walk)];
-          std::uint32_t* out = serve_host_bin_.data() + serve_offset_[i];
-          const std::uint64_t n = serve_offset_[i + 1] - serve_offset_[i];
-          // Counter-addressed derive is embarrassingly parallel: word k is
-          // a pure function of (root, pos + k), so any split of the index
-          // range is bit-exact; the fixed chunk grid matches BitFeeder's,
-          // and simd::derive_fill_u32 vectorises each piece.
-          constexpr std::uint64_t kChunk = host::BitFeeder::kChunkWords;
-          if (pool != nullptr && pool->num_workers() > 0 &&
-              n >= 2 * kChunk) {
-            const std::uint64_t chunks = (n + kChunk - 1) / kChunk;
-            pool->parallel_for(0, chunks, [&](std::uint64_t c) {
-              const std::uint64_t lo = c * kChunk;
-              const std::uint64_t hi = std::min(n, lo + kChunk);
-              simd::derive_fill_u32(root, pos + lo, out + lo,
-                                    static_cast<std::size_t>(hi - lo));
-            });
-          } else {
-            simd::derive_fill_u32(root, pos, out,
-                                  static_cast<std::size_t>(n));
-          }
+          // Counter-addressed: word k is a pure function of (root, pos + k),
+          // and simd::derive_fill_u32 vectorises the walk's whole range.
+          simd::derive_fill_u32(
+              serve_feed_root(draws[i].walk),
+              serve_feed_pos_[static_cast<std::size_t>(draws[i].walk)],
+              serve_host_bin_.data() + serve_offset_[i],
+              static_cast<std::size_t>(serve_offset_[i + 1] -
+                                       serve_offset_[i]));
         }
       });
 

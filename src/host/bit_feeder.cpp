@@ -1,11 +1,8 @@
 #include "host/bit_feeder.hpp"
 
-#include <algorithm>
-
 #include "prng/registry.hpp"
 #include "simd/simd.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hprng::host {
 
@@ -28,31 +25,12 @@ double BitFeeder::fill(std::span<std::uint32_t> out) {
       return seconds;
     }
   }
-  std::size_t chunks = 1;
-  if (pool_ != nullptr && pool_->num_workers() > 0 && gen_->cheap_jump() &&
-      out.size() >= 2 * kChunkWords) {
-    // Parallel path: chunk c reproduces words [c*kChunkWords, ...) of the
-    // serial stream through a clone jumped to the chunk start. The chunk
-    // grid depends only on out.size(), so every worker count (including
-    // the serial fallback) produces the identical words.
-    chunks = (out.size() + kChunkWords - 1) / kChunkWords;
-    pool_->parallel_for(0, chunks, [&](std::uint64_t c) {
-      const std::size_t lo = static_cast<std::size_t>(c) * kChunkWords;
-      const std::size_t hi = std::min(out.size(), lo + kChunkWords);
-      const std::unique_ptr<prng::Generator> g = gen_->clone_state();
-      g->discard_u32(lo);
-      g->fill_u32(out.subspan(lo, hi - lo));
-    });
-    gen_->discard_u32(out.size());  // the master advances past the block
-  } else {
-    gen_->fill_u32(out);
-  }
+  gen_->fill_u32(out);
   words_produced_ += out.size();
   if (metrics_ != nullptr) {
     ins_.bits_produced->add(static_cast<double>(out.size()) * 32.0);
     ins_.fill_calls->add(1);
     ins_.feed_seconds->add(seconds);
-    ins_.feed_chunks->add(static_cast<double>(chunks));
     ins_.buffer_occupancy_words->set(static_cast<double>(out.size()));
   }
   return seconds;
@@ -65,7 +43,6 @@ void BitFeeder::set_metrics(obs::MetricsRegistry* registry) {
   ins_.bits_produced = &registry->counter("hprng.host.bits_produced");
   ins_.fill_calls = &registry->counter("hprng.host.fill_calls");
   ins_.feed_seconds = &registry->counter("hprng.host.feed_seconds");
-  ins_.feed_chunks = &registry->counter("hprng.host.feed_chunks");
   ins_.buffer_occupancy_words =
       &registry->gauge("hprng.host.buffer_occupancy_words");
   // Info gauges, set eagerly: the dispatch decision is process-global and

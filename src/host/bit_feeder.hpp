@@ -11,10 +11,6 @@
 #include "prng/generator.hpp"
 #include "sim/spec.hpp"
 
-namespace hprng::util {
-class ThreadPool;
-}  // namespace hprng::util
-
 namespace hprng::host {
 
 /// The FEED work unit (Sec. IV-A): the host-side producer of raw random
@@ -34,24 +30,9 @@ class BitFeeder {
   BitFeeder(const sim::DeviceSpec& spec, const std::string& generator_name,
             std::uint64_t seed);
 
-  /// Produce words of random bits into `out`; returns simulated seconds.
-  ///
-  /// With a worker pool attached (set_pool) and a generator that supports
-  /// cheap jump-ahead (Generator::cheap_jump), large fills run in fixed
-  /// kChunkWords chunks in parallel: chunk c is produced by a clone of the
-  /// generator jumped past the first c*kChunkWords words, so the output is
-  /// bit-identical to the serial loop for ANY worker count — the chunking
-  /// is a function of the request size alone (docs/PERFORMANCE.md).
+  /// Produce words of random bits into `out` on the calling thread
+  /// (Generator::fill_u32); returns simulated seconds.
   double fill(std::span<std::uint32_t> out);
-
-  /// Fixed parallel-fill chunk size, in 32-bit words. Fixed (rather than
-  /// derived from the worker count) so the chunk boundaries — and with
-  /// them the per-chunk jump targets — never depend on the pool.
-  static constexpr std::size_t kChunkWords = 4096;
-
-  /// Attach (or with nullptr, detach) the worker pool parallel fills run
-  /// on. Sequential generators without cheap_jump() ignore it.
-  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
 
   /// Simulated host seconds to produce `words` 32-bit words.
   [[nodiscard]] double seconds_for_words(std::size_t words) const;
@@ -102,7 +83,6 @@ class BitFeeder {
     obs::Counter* bits_produced = nullptr;
     obs::Counter* fill_calls = nullptr;
     obs::Counter* feed_seconds = nullptr;
-    obs::Counter* feed_chunks = nullptr;
     obs::Gauge* buffer_occupancy_words = nullptr;
     obs::Gauge* simd_kernel = nullptr;  ///< simd::Kernel id (0/1/2)
     obs::Gauge* simd_lanes = nullptr;   ///< u32 lanes of that kernel
@@ -111,7 +91,6 @@ class BitFeeder {
   std::unique_ptr<prng::Generator> gen_;
   std::string name_;
   double ns_per_bit_;
-  util::ThreadPool* pool_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   Instruments ins_;
   fault::Injector* fault_injector_ = nullptr;

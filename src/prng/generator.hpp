@@ -46,16 +46,11 @@ class Generator {
   [[nodiscard]] virtual std::unique_ptr<Generator> clone_reseeded(
       std::uint64_t seed) const = 0;
 
-  // -- Jump-ahead hooks (parallel chunked feeds, docs/PERFORMANCE.md) -------
-
-  /// True when discard_u32() is asymptotically cheaper than drawing — a
-  /// closed-form state jump (LCG affine power, counter add). Parallel
-  /// chunked consumers (host::BitFeeder) only split work when this holds;
-  /// otherwise per-chunk skips would cost as much as the serial fill.
-  [[nodiscard]] virtual bool cheap_jump() const { return false; }
+  // -- Bulk hooks (feeder refills and fast-forward) -------------------------
 
   /// Advance the stream past `n` next_u32() draws. The default draws and
-  /// drops (O(n)); generators with a closed-form jump override it.
+  /// drops (O(n)); generators with a closed-form jump (LCG affine power,
+  /// counter add) override it.
   virtual void discard_u32(std::uint64_t n) {
     while (n-- != 0) (void)next_u32();
   }
@@ -68,13 +63,6 @@ class Generator {
   virtual void fill_u32(std::span<std::uint32_t> out) {
     for (auto& w : out) w = next_u32();
   }
-
-  /// Independent copy at the *current* stream position (unlike
-  /// clone_reseeded, which restarts). nullptr when the generator cannot be
-  /// duplicated; Adapter-wrapped generators always can.
-  [[nodiscard]] virtual std::unique_ptr<Generator> clone_state() const {
-    return nullptr;
-  }
 };
 
 /// Wraps a concrete generator type G (providing next_u32(), optionally
@@ -82,8 +70,7 @@ class Generator {
 template <typename G>
 class Adapter final : public Generator {
  public:
-  explicit Adapter(std::uint64_t seed) : g_(seed), seed_(seed) {}
-  explicit Adapter(G g) : g_(std::move(g)), seed_(0) {}
+  explicit Adapter(std::uint64_t seed) : g_(seed) {}
 
   std::uint32_t next_u32() override { return g_.next_u32(); }
 
@@ -102,10 +89,6 @@ class Adapter final : public Generator {
     return std::make_unique<Adapter<G>>(seed);
   }
 
-  [[nodiscard]] bool cheap_jump() const override {
-    return requires(G& g, std::uint64_t n) { g.discard_u32(n); };
-  }
-
   void discard_u32(std::uint64_t n) override {
     if constexpr (requires(G& g) { g.discard_u32(n); }) {
       g_.discard_u32(n);
@@ -122,16 +105,11 @@ class Adapter final : public Generator {
     }
   }
 
-  [[nodiscard]] std::unique_ptr<Generator> clone_state() const override {
-    return std::make_unique<Adapter<G>>(g_);
-  }
-
   /// Access to the wrapped concrete generator (used by tests).
   G& raw() { return g_; }
 
  private:
   G g_;
-  std::uint64_t seed_;
 };
 
 template <typename G>

@@ -59,7 +59,7 @@ struct Philox4x32 {
 
   /// O(1) jump-ahead over n u32 draws — counter arithmetic, no block
   /// evaluations beyond at most one for a mid-block landing. Equivalent to
-  /// n next_u32() calls; detected by prng::Adapter as the cheap_jump hook.
+  /// n next_u32() calls; prng::Adapter forwards Generator::discard_u32 here.
   void discard_u32(std::uint64_t n) {
     if (lane != 0) {
       const std::uint64_t left = static_cast<std::uint64_t>(4 - lane);

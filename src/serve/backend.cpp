@@ -12,7 +12,6 @@
 #include "sim/device.hpp"
 #include "state/snapshot.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hprng::serve {
 
@@ -69,10 +68,7 @@ bool load_slot_metas(state::SectionReader& reader, std::size_t want,
 /// backends whose streams are seed-addressed).
 class HybridShard final : public ShardBackend {
  public:
-  HybridShard(const ServiceOptions& opts, std::uint64_t shard_seed)
-      : device_(sim::DeviceSpec::tesla_c1060(),
-                opts.parallel_kernels ? &util::ThreadPool::global()
-                                      : nullptr) {
+  HybridShard(const ServiceOptions& opts, std::uint64_t shard_seed) {
     core::HybridPrngConfig cfg;
     cfg.seed = shard_seed;
     cfg.walk_len = opts.walk_len;

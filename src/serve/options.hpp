@@ -176,12 +176,9 @@ struct ServiceOptions {
   /// applications, not battery inputs; pass 32 for generator-grade streams.
   int walk_len = 8;
 
-  /// Run hybrid shards' kernel bodies and feed production on the process-
-  /// wide worker pool (util::ThreadPool::global()). Purely a wall-clock
-  /// dial: the chunked parallel paths are bit-identical to serial for any
-  /// worker count (docs/PERFORMANCE.md), and on single-core hosts the
-  /// global pool has zero workers and everything runs inline anyway.
-  bool parallel_kernels = true;
+  /// Retired; nothing reads it. A compatibility shim for the frozen
+  /// perfbench/ driver, which still assigns it.
+  bool parallel_kernels = false;
 
   // -- Failure handling (docs/SERVING.md §7, docs/FAULTS.md) ---------------
 

@@ -811,6 +811,10 @@ using state::kTagTenq;
 /// byte-compatible both ways, and readers accept 0..2 and ignore it.
 constexpr std::uint32_t kOptsOverloadSlot = 0;
 
+/// OPTS once carried the parallel_kernels flag (0/1) in this u32 slot.
+/// Writers put 0; readers accept 0 or 1 and ignore it.
+constexpr std::uint32_t kOptsParallelKernelsSlot = 0;
+
 void save_options(state::SnapshotWriter& w, const ServiceOptions& o) {
   w.put_str(o.backend);
   w.put_u32(static_cast<std::uint32_t>(o.num_shards));
@@ -822,7 +826,7 @@ void save_options(state::SnapshotWriter& w, const ServiceOptions& o) {
   w.put_u64(static_cast<std::uint64_t>(o.default_timeout.count()));
   w.put_u64(o.seed);
   w.put_u32(static_cast<std::uint32_t>(o.walk_len));
-  w.put_u32(o.parallel_kernels ? 1 : 0);
+  w.put_u32(kOptsParallelKernelsSlot);
   w.put_u32(static_cast<std::uint32_t>(o.max_fill_retries));
   w.put_f64(o.retry_backoff_base_ms);
   w.put_f64(o.retry_backoff_max_ms);
@@ -841,7 +845,7 @@ bool load_options(state::SectionReader& r, ServiceOptions* o) {
       static_cast<std::int64_t>(r.get_u64()));
   o->seed = r.get_u64();
   o->walk_len = static_cast<int>(r.get_u32());
-  o->parallel_kernels = r.get_u32() != 0;
+  const std::uint32_t parallel = r.get_u32();  // kOptsParallelKernelsSlot
   o->max_fill_retries = static_cast<int>(r.get_u32());
   o->retry_backoff_base_ms = r.get_f64();
   o->retry_backoff_max_ms = r.get_f64();
@@ -849,6 +853,7 @@ bool load_options(state::SectionReader& r, ServiceOptions* o) {
   if (r.ok() &&
       (o->num_shards < 1 || o->max_leases_per_shard < 1 ||
        o->queue_capacity < 1 || o->max_coalesce < 1 || overload > 2 ||
+       parallel > 1 || (o->backend == "hybrid" && o->walk_len < 1) ||
        o->max_fill_retries < 0 || o->shard_eject_failures < 1)) {
     r.fail("implausible service options");
   }

@@ -5,8 +5,7 @@
 
 namespace hprng::sim {
 
-Device::Device(DeviceSpec spec, util::ThreadPool* pool)
-    : spec_(std::move(spec)), pool_(pool) {}
+Device::Device(DeviceSpec spec) : spec_(std::move(spec)) {}
 
 void Device::set_metrics(obs::MetricsRegistry* registry) {
   engine_.set_metrics(registry);
@@ -54,15 +53,10 @@ OpId Device::launch(Stream& stream, std::string label, std::uint64_t threads,
   }
   auto deps = with_stream_dep(stream, extra_deps);
   const double duration = kernel_seconds(threads, cost);
-  util::ThreadPool* pool = pool_;
   const OpId id = engine_.submit(
       Resource::kDevice, std::move(label), duration, deps,
-      [pool, threads, body = std::move(body)] {
-        if (pool != nullptr && pool->num_workers() > 0) {
-          pool->parallel_for(0, threads, body);
-        } else {
-          for (std::uint64_t t = 0; t < threads; ++t) body(t);
-        }
+      [threads, body = std::move(body)] {
+        for (std::uint64_t t = 0; t < threads; ++t) body(t);
       });
   stream.set_last(id);
   return id;
@@ -80,19 +74,11 @@ OpId Device::launch_batched(Stream& stream, std::string label,
   }
   auto deps = with_stream_dep(stream, extra_deps);
   const double duration = kernel_seconds(threads, cost);
-  util::ThreadPool* pool = pool_;
   const OpId id = engine_.submit(
       Resource::kDevice, std::move(label), duration, deps,
-      [pool, threads, group, body = std::move(body)] {
-        const std::uint64_t groups = (threads + group - 1) / group;
-        const auto run_group = [&](std::uint64_t g) {
-          const std::uint64_t lo = g * group;
+      [threads, group, body = std::move(body)] {
+        for (std::uint64_t lo = 0; lo < threads; lo += group) {
           body(lo, std::min(threads, lo + group));
-        };
-        if (pool != nullptr && pool->num_workers() > 0) {
-          pool->parallel_for(0, groups, run_group);
-        } else {
-          for (std::uint64_t g = 0; g < groups; ++g) run_group(g);
         }
       });
   stream.set_last(id);
@@ -110,39 +96,27 @@ OpId Device::launch_dynamic(Stream& stream, std::string label,
   }
   auto deps = with_stream_dep(stream, extra_deps);
   const double base = kernel_seconds(threads, base_cost);
-  util::ThreadPool* pool = pool_;
-  const DeviceSpec* spec = &spec_;
   const OpId id = engine_.submit_dynamic(
       Resource::kDevice, std::move(label), base, deps,
-      [this, pool, spec, threads, body = std::move(body)]() -> double {
-        // Per-chunk partial sums, reduced once in chunk order: no lock on
-        // the hottest kernel path, and — because the chunk size is fixed
-        // rather than derived from the worker count — the floating-point
-        // reduction is bit-identical for any pool size (including none),
-        // keeping the virtual-time schedule independent of the pool.
+      [this, threads, body = std::move(body)]() -> double {
+        // Realised ops are summed per fixed 2048-thread chunk, then the
+        // chunk totals in order. The simulated clock depends on this
+        // floating-point order (sim_device_test pins it), so it must not
+        // become one running sum.
         constexpr std::uint64_t kChunk = 2048;
-        const std::uint64_t chunks = (threads + kChunk - 1) / kChunk;
-        std::vector<double> partial(static_cast<std::size_t>(chunks), 0.0);
-        const auto chunk_body = [&](std::uint64_t c) {
-          const std::uint64_t lo = c * kChunk;
+        double total_ops = 0.0;
+        for (std::uint64_t lo = 0; lo < threads; lo += kChunk) {
           const std::uint64_t hi = std::min(threads, lo + kChunk);
           double ops = 0.0;
           for (std::uint64_t t = lo; t < hi; ++t) ops += body(t);
-          partial[static_cast<std::size_t>(c)] = ops;
-        };
-        if (pool != nullptr && pool->num_workers() > 0) {
-          pool->parallel_for(0, chunks, chunk_body);
-        } else {
-          for (std::uint64_t c = 0; c < chunks; ++c) chunk_body(c);
+          total_ops += ops;
         }
-        double total_ops = 0.0;
-        for (const double p : partial) total_ops += p;
         // Convert realised ops into seconds through the same cost model,
         // without double charging the launch overhead (already in `base`).
         const double extra = kernel_seconds(
             threads, KernelCost{total_ops / static_cast<double>(threads),
                                 0.0});
-        return extra - spec->kernel_launch_overhead_us * 1e-6;
+        return extra - spec_.kernel_launch_overhead_us * 1e-6;
       });
   stream.set_last(id);
   return id;

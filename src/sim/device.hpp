@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -12,7 +13,6 @@
 #include "sim/buffer.hpp"
 #include "sim/engine.hpp"
 #include "sim/spec.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hprng::sim {
 
@@ -59,26 +59,22 @@ class Stream {
 };
 
 /// The simulated GPU + PCIe + host platform. All simulated durations come
-/// from `spec`; all functional effects run immediately (in dependency
-/// order) on the calling thread or the optional worker pool.
+/// from `spec`; all functional effects run (in dependency order) on the
+/// thread that calls synchronize().
 class Device {
  public:
   /// @param spec cost-model parameters of the simulated platform.
-  /// @param pool optional worker pool kernels' functional bodies run on;
-  ///        nullptr executes them on the calling thread.
-  explicit Device(DeviceSpec spec = DeviceSpec::tesla_c1060(),
-                  util::ThreadPool* pool = nullptr);
+  explicit Device(DeviceSpec spec = DeviceSpec::tesla_c1060());
+
+  /// Compatibility shim for the frozen perfbench/ driver, which still
+  /// passes a null worker pool: identical to Device(spec).
+  Device(DeviceSpec spec, std::nullptr_t) : Device(std::move(spec)) {}
 
   /// The cost-model parameters this platform was built with.
   [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
 
   /// The underlying discrete-event executor (fences, op timestamps).
   [[nodiscard]] Engine& engine() { return engine_; }
-
-  /// The worker pool kernel bodies run on (nullptr = inline execution).
-  /// Exposed so pipeline stages that do their own host-side work (the
-  /// serve counter feed, BitFeeder refills) can share the device's pool.
-  [[nodiscard]] util::ThreadPool* pool() const { return pool_; }
 
   /// The engine's recorded virtual-time schedule.
   [[nodiscard]] const Timeline& timeline() const {
@@ -168,19 +164,18 @@ class Device {
   }
 
   /// Enqueue a kernel of `threads` linear threads; `body(tid)` runs for
-  /// every thread (functionally, on the worker pool if one was given).
+  /// every thread, in tid order.
   OpId launch(Stream& stream, std::string label, std::uint64_t threads,
               const KernelCost& cost,
               std::function<void(std::uint64_t)> body,
               const std::vector<OpId>& extra_deps = {});
 
   /// Like launch(), but the functional body receives contiguous tid ranges:
-  /// `body(lo, hi)` covers tids [lo, hi) with hi - lo <= `group`. The
-  /// group grid is a pure function of (threads, group) — never of the
-  /// worker pool — so a lane-batched body that is bit-exact per tid
-  /// produces the identical stream for any pool size. Simulated cost,
-  /// label and thread accounting are exactly launch()'s: batching is a
-  /// host-side execution detail, invisible to the virtual-time schedule.
+  /// `body(lo, hi)` covers tids [lo, hi) with hi - lo <= `group`, so a
+  /// lane-batched body can advance a group of threads in vector lockstep.
+  /// Simulated cost, label and thread accounting are exactly launch()'s:
+  /// batching is a host-side execution detail, invisible to the
+  /// virtual-time schedule.
   OpId launch_batched(Stream& stream, std::string label,
                       std::uint64_t threads, const KernelCost& cost,
                       std::uint64_t group,
@@ -230,7 +225,6 @@ class Device {
   };
 
   DeviceSpec spec_;
-  util::ThreadPool* pool_;
   Engine engine_;
   obs::MetricsRegistry* metrics_ = nullptr;
   Instruments ins_;

@@ -222,7 +222,6 @@ TEST(CounterJump, JumpToMatchesSequentialDraws) {
 struct CounterStreamGen {
   static constexpr const char* kName = "counter-stream";
 
-  // shared_ptr (not unique) so prng::Adapter's clone_state copy works.
   explicit CounterStreamGen(std::uint64_t seed)
       : engine(make_counter_backend(seed == 0 ? "philox" : "md5-counter")),
         stream(engine.get(), 0x9E3779B97F4A7C15ull, seed) {}
@@ -237,7 +236,7 @@ struct CounterStreamGen {
     return static_cast<std::uint32_t>(word);
   }
 
-  std::shared_ptr<CounterBackend> engine;
+  std::unique_ptr<CounterBackend> engine;
   CounterStream stream;
   std::uint64_t word = 0;
   bool pending = false;
@@ -333,8 +332,7 @@ TEST(CounterServe, ClientStreamsEqualTheClosedFormCoordinates) {
 
 TEST(CounterServe, StreamsAreWorkerCountInvariant) {
   // Serial (1 worker) vs concurrent (4 workers): bit-identical
-  // per-client streams, the pool_determinism property for the counter
-  // family.
+  // per-client streams for the counter family.
   for (const std::string& backend : serve::known_counter_backends()) {
     const auto serial = serve_streams(backend, 1, 6, 4, 17);
     const auto parallel = serve_streams(backend, 4, 6, 4, 17);

@@ -9,7 +9,6 @@
 #include "core/device_stream.hpp"
 #include "stat/crush.hpp"
 #include "stat/diehard.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hprng::core {
 namespace {

@@ -3,11 +3,13 @@
 #include <cstdlib>
 #include <random>
 #include <set>
+#include <string>
 
 #include "prng/lcg.hpp"
 #include "prng/mt19937.hpp"
 #include "prng/mwc.hpp"
 #include "prng/philox.hpp"
+#include "prng/registry.hpp"
 #include "prng/splitmix64.hpp"
 #include "prng/xorwow.hpp"
 
@@ -164,6 +166,55 @@ TEST(SplitMix64, MixIsBijectivelyScrambling) {
   std::set<std::uint64_t> out;
   for (std::uint64_t i = 0; i < 1000; ++i) out.insert(splitmix64_mix(i));
   EXPECT_EQ(out.size(), 1000u);
+}
+
+// --- Jump-ahead: Generator::discard_u32 -------------------------------------
+
+constexpr std::uint64_t kJumpSeed = 0x5EEDBA5Eu;
+
+TEST(JumpAheadTest, DiscardMatchesSequentialDraws) {
+  // discard_u32(k) must land exactly where k sequential draws land, for
+  // every generator with a closed-form jump.
+  const std::uint64_t skips[] = {0, 1, 2, 7, 4096, 12345, 100003};
+  for (const std::string name : {"glibc-lcg", "minstd", "splitmix64",
+                                 "philox4x32-10", "cudpp-md5"}) {
+    for (const std::uint64_t k : skips) {
+      auto jumped = make_by_name(name, kJumpSeed);
+      auto drawn = make_by_name(name, kJumpSeed);
+      jumped->discard_u32(k);
+      for (std::uint64_t i = 0; i < k; ++i) (void)drawn->next_u32();
+      for (int i = 0; i < 16; ++i) {
+        ASSERT_EQ(jumped->next_u32(), drawn->next_u32())
+            << name << " diverges after discard_u32(" << k << ")";
+      }
+    }
+  }
+}
+
+TEST(JumpAheadTest, CounterDiscardComposesFromMidBlock) {
+  // The counter generators emit 4 u32 lanes per block; a discard_u32
+  // issued mid-block (after j draws) must land exactly where j + k
+  // sequential draws land — the lane-carry path of the counter jump.
+  const std::uint64_t ks[] = {0, 1, 2, 3, 4, 5, 9, 4097};
+  for (const std::string name : {"philox4x32-10", "cudpp-md5"}) {
+    for (const std::uint64_t j : {1u, 2u, 3u}) {
+      for (const std::uint64_t k : ks) {
+        auto jumped = make_by_name(name, kJumpSeed);
+        auto drawn = make_by_name(name, kJumpSeed);
+        for (std::uint64_t i = 0; i < j; ++i) {
+          (void)jumped->next_u32();
+          (void)drawn->next_u32();
+        }
+        jumped->discard_u32(k);
+        for (std::uint64_t i = 0; i < k; ++i) (void)drawn->next_u32();
+        for (int i = 0; i < 8; ++i) {
+          ASSERT_EQ(jumped->next_u32(), drawn->next_u32())
+              << name << " diverges after " << j << " draws + discard_u32("
+              << k << ")";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -208,14 +208,19 @@ TEST(CheckpointFormat, CounterShardSectionsAreFixedSizePerLease) {
   }
 }
 
-TEST(CheckpointFormat, RetiredPolicySlotAcceptsEveryOldCode) {
-  // OPTS keeps the u32 slot that once held a full-queue policy code
-  // (docs/STATE.md §4): writers put 0, and restore accepts any code an
-  // older writer could have put there (0..2) while still rejecting
-  // anything beyond as implausible.
-  const std::string path = tmp_path("policy_slot.snap");
+TEST(CheckpointFormat, PatchedOptsSlotsRestoreOrRejectCleanly) {
+  // Each row patches one u32 slot of a CRC-valid hybrid snapshot's OPTS
+  // section (docs/STATE.md §4) and restores it:
+  //  - the retired full-queue policy slot: writers put 0; restore accepts
+  //    any code an older writer could have put there (0..2);
+  //  - the retired parallel_kernels slot: writers put 0; restore accepts
+  //    0 or 1 (older writers put 1 by default);
+  //  - walk_len 0, which HybridPrng refuses: a hybrid snapshot carrying it
+  //    is rejected with a diagnostic instead of aborting the process.
+  // Anything else is rejected as implausible.
+  const std::string path = tmp_path("opts_slots.snap");
   {
-    serve::RngService service(small_options("cpu-walk"));
+    serve::RngService service(small_options("hybrid"));
     auto sessions = open_pinned(service, 1);
     std::vector<std::vector<std::uint64_t>> streams;
     run_traffic(sessions, 1, 8, &streams);
@@ -227,27 +232,56 @@ TEST(CheckpointFormat, RetiredPolicySlotAcceptsEveryOldCode) {
   ASSERT_TRUE(snap.has_value()) << error;
   // backend str (u64 length + bytes), num_shards:u32,
   // max_leases_per_shard:u64, num_workers:u32, queue_capacity:u64 and
-  // max_coalesce:u64 precede the slot.
-  const std::size_t slot = 8 + std::string("cpu-walk").size() + 4 + 8 + 4 +
-                           8 + 8;
-  const std::string case_path = tmp_path("policy_slot_case.snap");
-  for (const std::uint32_t code : {0u, 1u, 2u, 3u}) {
-    SCOPED_TRACE("policy code " + std::to_string(code));
+  // max_coalesce:u64 precede the policy slot; default_timeout:u64 and
+  // seed:u64 sit between it and walk_len:u32; parallel_kernels:u32 follows.
+  const std::size_t policy =
+      8 + std::string("hybrid").size() + 4 + 8 + 4 + 8 + 8;
+  const std::size_t walk_len = policy + 4 + 8 + 8;
+  const std::size_t parallel_kernels = walk_len + 4;
+  struct Row {
+    const char* slot;
+    std::size_t offset;
+    std::uint32_t written;  // what the writer put there
+    std::uint32_t patched;
+    bool accepted;
+  };
+  const Row rows[] = {
+      {"policy", policy, 0, 0, true},
+      {"policy", policy, 0, 1, true},
+      {"policy", policy, 0, 2, true},
+      {"policy", policy, 0, 3, false},
+      {"parallel_kernels", parallel_kernels, 0, 0, true},
+      {"parallel_kernels", parallel_kernels, 0, 1, true},
+      {"parallel_kernels", parallel_kernels, 0, 2, false},
+      {"walk_len", walk_len, 8, 0, false},
+  };
+  const std::string case_path = tmp_path("opts_slots_case.snap");
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.slot) + " = " + std::to_string(row.patched));
     state::SnapshotWriter w;
     for (const state::Section& sec : snap->sections()) {
       std::string payload(sec.payload);
       if (sec.tag == state::kTagOpts) {
-        ASSERT_EQ(payload.substr(slot, 4), std::string(4, '\0'));
+        std::uint32_t written = 0;
         for (std::size_t i = 0; i < 4; ++i) {  // little-endian u32
-          payload[slot + i] = static_cast<char>(code >> (8 * i));
+          written |= static_cast<std::uint32_t>(
+                         static_cast<unsigned char>(payload[row.offset + i]))
+                     << (8 * i);
+          payload[row.offset + i] = static_cast<char>(row.patched >> (8 * i));
         }
+        ASSERT_EQ(written, row.written);
       }
       w.begin_section(sec.tag, sec.version);
       w.put_raw(payload);
     }
     ASSERT_TRUE(w.write_file(case_path, &error)) << error;
+    error.clear();
     auto restored = serve::RngService::restore(case_path, &error);
-    EXPECT_EQ(restored != nullptr, code <= 2) << error;
+    EXPECT_EQ(restored != nullptr, row.accepted) << error;
+    if (!row.accepted) {
+      EXPECT_NE(error.find("implausible service options"), std::string::npos)
+          << error;
+    }
   }
   std::remove(case_path.c_str());
   std::remove(path.c_str());

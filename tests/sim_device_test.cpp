@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ios>
 #include <numeric>
 #include <vector>
 
@@ -133,6 +134,25 @@ TEST(Device, LaunchDynamicZeroExtraIsFree) {
   const double dur =
       dev.engine().end_time(id) - dev.engine().start_time(id);
   EXPECT_NEAR(dur, dev.kernel_seconds(16, KernelCost{10.0, 0.0}), 1e-12);
+}
+
+TEST(Device, LaunchDynamicChunkedSumIsPinned) {
+  // The realised ops are summed per 2048-thread chunk, then chunk by chunk:
+  // 5000 threads are two full chunks and a ragged 904. The body's ops are
+  // not exactly representable, so the summation order reaches the
+  // simulated clock; one running sum over all threads gives
+  // 0x1.a6d00d83438f8p-10 instead. Recorded with gcc 12 on x86-64.
+  Device dev;
+  Stream s;
+  const OpId id = dev.launch_dynamic(
+      s, "dyn-chunked", 5000, KernelCost{3.0, 8.0},
+      [](std::uint64_t t) -> double {
+        return 1e5 + 1.0 / static_cast<double>(t + 1);
+      });
+  dev.synchronize();
+  const double dur =
+      dev.engine().end_time(id) - dev.engine().start_time(id);
+  EXPECT_EQ(dur, 0x1.a6d00d83438ffp-10) << std::hexfloat << dur;
 }
 
 TEST(Device, EventsSynchroniseStreams) {

@@ -3,8 +3,8 @@
 // not move by a single bit. This suite pins that contract at every level —
 // the raw fill kernels against their scalar references, Generator::fill_u32
 // for EVERY registered generator, the lane-batched walk kernel against
-// expander::walk, and the end-to-end serve/batch paths across 0/1/3/8 feed
-// workers under each supported kernel.
+// expander::walk, and the end-to-end serve/batch paths under each supported
+// kernel.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "prng/splitmix64.hpp"
 #include "sim/device.hpp"
 #include "simd/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -34,7 +33,6 @@ using hprng::core::HybridPrngConfig;
 using hprng::expander::NeighborPolicy;
 using hprng::expander::WalkMode;
 using hprng::host::BitFeeder;
-using hprng::util::ThreadPool;
 
 constexpr std::uint64_t kSeed = 0x51D0BEEFu;
 
@@ -286,9 +284,8 @@ TEST(SimdWalkTest, Mod7AndSevenStaysAreVectorizableRejectionIsNot) {
 /// One serve traffic pattern with mixed draw counts, walks out of tid
 /// order, group-straddling fill sizes (> kWalkGroup walks) and a repeat
 /// pass; returns every output word in a flat vector.
-std::vector<std::uint64_t> serve_traffic(const HybridPrngConfig& cfg,
-                                         ThreadPool* pool) {
-  hprng::sim::Device dev(hprng::sim::DeviceSpec::tesla_c1060(), pool);
+std::vector<std::uint64_t> serve_traffic(const HybridPrngConfig& cfg) {
+  hprng::sim::Device dev;
   HybridPrng prng(dev, cfg);
   // 11 walks: more than one kWalkGroup group, with a ragged trailing group.
   std::vector<std::vector<std::uint64_t>> bufs;
@@ -315,7 +312,7 @@ std::vector<std::uint64_t> serve_traffic(const HybridPrngConfig& cfg,
   return flat;
 }
 
-TEST(SimdEndToEndTest, ServeFillsBitIdenticalAcrossKernelsAndWorkerCounts) {
+TEST(SimdEndToEndTest, ServeFillsBitIdenticalAcrossKernels) {
   for (const NeighborPolicy policy :
        {NeighborPolicy::kMod7, NeighborPolicy::kSevenStays,
         NeighborPolicy::kRejection}) {
@@ -329,21 +326,13 @@ TEST(SimdEndToEndTest, ServeFillsBitIdenticalAcrossKernelsAndWorkerCounts) {
         std::vector<std::uint64_t> want;
         {
           KernelScope scope(simd::Kernel::kScalar);
-          want = serve_traffic(cfg, nullptr);
+          want = serve_traffic(cfg);
         }
         for (const simd::Kernel k : supported_kernels()) {
           KernelScope scope(k);
-          ASSERT_EQ(want, serve_traffic(cfg, nullptr))
-              << simd::to_string(k) << " serial, policy="
-              << static_cast<int>(policy) << " len=" << walk_len
-              << " finalize=" << finalize;
-          for (const std::size_t workers : {1u, 3u, 8u}) {
-            ThreadPool pool(workers);
-            ASSERT_EQ(want, serve_traffic(cfg, &pool))
-                << simd::to_string(k) << " with " << workers
-                << " workers, policy=" << static_cast<int>(policy)
-                << " len=" << walk_len << " finalize=" << finalize;
-          }
+          ASSERT_EQ(want, serve_traffic(cfg))
+              << simd::to_string(k) << " policy=" << static_cast<int>(policy)
+              << " len=" << walk_len << " finalize=" << finalize;
         }
       }
     }
@@ -369,19 +358,11 @@ TEST(SimdEndToEndTest, BatchedGenerateBitIdenticalAcrossKernels) {
     hprng::sim::Device dev;
     HybridPrng prng(dev, cfg);
     ASSERT_EQ(want, prng.generate(2500, 3)) << simd::to_string(k);
-    for (const std::size_t workers : {3u}) {
-      ThreadPool pool(workers);
-      hprng::sim::Device pooled_dev(hprng::sim::DeviceSpec::tesla_c1060(),
-                                    &pool);
-      HybridPrng pooled(pooled_dev, cfg);
-      ASSERT_EQ(want, pooled.generate(2500, 3))
-          << simd::to_string(k) << " with " << workers << " workers";
-    }
   }
 }
 
-TEST(SimdEndToEndTest, FeederFillBitIdenticalAcrossKernelsAndWorkers) {
-  const std::size_t words = 3 * BitFeeder::kChunkWords + 123;
+TEST(SimdEndToEndTest, FeederFillBitIdenticalAcrossKernels) {
+  const std::size_t words = 12411;  // odd: a ragged tail after the lanes
   for (const std::string name : {"glibc-lcg", "splitmix64", "minstd"}) {
     std::vector<std::uint32_t> want(words);
     {
@@ -391,20 +372,10 @@ TEST(SimdEndToEndTest, FeederFillBitIdenticalAcrossKernelsAndWorkers) {
     }
     for (const simd::Kernel k : supported_kernels()) {
       KernelScope scope(k);
-      std::vector<std::uint32_t> serial(words);
+      std::vector<std::uint32_t> got(words);
       BitFeeder f(hprng::sim::DeviceSpec::tesla_c1060(), name, kSeed);
-      f.fill(serial);
-      ASSERT_EQ(want, serial) << name << " " << simd::to_string(k);
-      for (const std::size_t workers : {1u, 3u, 8u}) {
-        ThreadPool pool(workers);
-        std::vector<std::uint32_t> pooled(words);
-        BitFeeder pf(hprng::sim::DeviceSpec::tesla_c1060(), name, kSeed);
-        pf.set_pool(&pool);
-        pf.fill(pooled);
-        ASSERT_EQ(want, pooled)
-            << name << " " << simd::to_string(k) << " " << workers
-            << " workers";
-      }
+      f.fill(got);
+      ASSERT_EQ(want, got) << name << " " << simd::to_string(k);
     }
   }
 }

@@ -1,12 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
-#include <vector>
-
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace hprng::util {
@@ -50,61 +45,6 @@ TEST(Cli, ParsesFlags) {
   EXPECT_EQ(cli.get_u64("missing", 7), 7u);
   EXPECT_TRUE(cli.has("n"));
   EXPECT_FALSE(cli.has("m"));
-}
-
-TEST(ThreadPool, InlineModeRunsEverything) {
-  ThreadPool pool(0);
-  int counter = 0;
-  pool.submit([&] { ++counter; });
-  pool.submit([&] { ++counter; });
-  pool.wait_idle();
-  EXPECT_EQ(counter, 2);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  for (std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
-    ThreadPool pool(workers);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallel_for(0, 1000,
-                      [&](std::uint64_t i) { hits[i].fetch_add(1); });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-// parallel_for's completion latch lives on the caller's stack and dies as
-// soon as the call returns. Thousands of short back-to-back calls give a
-// late-finishing task every chance to touch a dead frame; the TSan CI leg
-// runs this.
-TEST(ThreadPool, BackToBackParallelForsNeverTouchAReturnedFrame) {
-  constexpr std::uint64_t kCalls = 5000;
-  for (std::size_t workers : {std::size_t{3}, std::size_t{8}}) {
-    ThreadPool pool(workers);
-    const std::uint64_t n = 2 * workers;
-    std::uint64_t total = 0;
-    for (std::uint64_t call = 0; call < kCalls; ++call) {
-      std::vector<std::uint64_t> out(n);
-      pool.parallel_for(0, n, [&](std::uint64_t i) { out[i] = i + 1; });
-      total += std::accumulate(out.begin(), out.end(), std::uint64_t{0});
-    }
-    EXPECT_EQ(total, kCalls * n * (n + 1) / 2) << workers << " workers";
-  }
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(5, 5, [&](std::uint64_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, SubmitFromWorkers) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(WallTimer, MeasuresForwardTime) {
