@@ -66,7 +66,7 @@
 //                       successor offers them for re-adoption
 //        --adopt        adopt the server's adoptable leases first (the
 //                       second half of the restart demo)
-//        --max-pending-fills=N --completers=N   in-process server shape
+//        --max-pending-fills=N   in-process server shape
 
 #include <algorithm>
 #include <atomic>
@@ -138,7 +138,7 @@ void print_help() {
       "  --open-loop --rate=R  Poisson arrivals, R total req/s\n"
       "  --keep-leases       leave leases live (orphaned) on exit\n"
       "  --adopt             adopt the server's adoptable leases first\n"
-      "  --max-pending-fills=N --completers=N  in-process server shape\n"
+      "  --max-pending-fills=N  in-process server shape\n"
       "tenancy (docs/QOS.md):\n"
       "  --tenants=N         tenant population (default 1 = tenant 0 only)\n"
       "  --tenant-skew=S     Zipf exponent for client placement (default 1)\n"
@@ -407,6 +407,12 @@ int run_wire(const util::Cli& cli) {
   std::unique_ptr<serve::RngService> service;
   std::unique_ptr<net::NetServer> server;
   if (in_process) {
+    if (cli.has("completers")) {
+      // Removed flag: fail loudly rather than silently run another shape.
+      std::fprintf(stderr, "--completers was removed: the server replies "
+                           "from its one loop thread\n");
+      return 2;
+    }
     serve::ServiceOptions opts;
     opts.backend = cli.get_string("backend", "hybrid");
     if (!serve::backend_known(opts.backend)) {
@@ -434,7 +440,6 @@ int run_wire(const util::Cli& cli) {
     net::ServerOptions sopts;
     sopts.listen = {listen_ep};
     sopts.max_pending_fills = cli.get_u64("max-pending-fills", 64);
-    sopts.completer_threads = static_cast<int>(cli.get_u64("completers", 2));
     sopts.injector = opts.injector;
     server = std::make_unique<net::NetServer>(*service, sopts, &metrics);
     if (!server->ok()) {

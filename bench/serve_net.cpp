@@ -33,7 +33,7 @@
 // Flags: --listen=EP[,EP...] (unix:PATH | tcp:HOST:PORT)
 //        --backend --shards --slots --workers --capacity --coalesce
 //        --timeout-ms --seed
-//        --max-pending-fills --completers
+//        --max-pending-fills
 //        --restore-from=<path>     rebuild from a snapshot; listen
 //                                  endpoints come from <path>.net unless
 //                                  --listen overrides them
@@ -98,7 +98,7 @@ void print_help() {
       "  --backend=%s\n"
       "  --shards=N --slots=N --workers=N --capacity=N --coalesce=N\n"
       "  --timeout-ms=MS --seed=S\n"
-      "  --max-pending-fills=N --completers=N\n"
+      "  --max-pending-fills=N\n"
       "  --restore-from=PATH    rebuild from a snapshot; endpoints come\n"
       "                         from PATH.net unless --listen is given\n"
       "  --checkpoint-path=PATH snapshot destination (serve-net.snap)\n"
@@ -172,6 +172,12 @@ int main(int argc, char** argv) {
   if (cli.has("help")) {
     print_help();
     return 0;
+  }
+  if (cli.has("completers")) {
+    // Removed flag: fail loudly rather than silently run another shape.
+    std::fprintf(stderr, "serve_net: --completers was removed: the server "
+                         "replies from its one loop thread\n");
+    return 2;
   }
 
   const std::string restore_from = cli.get_string("restore-from", "");
@@ -257,7 +263,6 @@ int main(int argc, char** argv) {
   net::ServerOptions sopts;
   sopts.listen = listen;
   sopts.max_pending_fills = cli.get_u64("max-pending-fills", 64);
-  sopts.completer_threads = static_cast<int>(cli.get_u64("completers", 2));
   sopts.injector = inj;
   net::NetServer server(service, sopts, &registry);
   if (!server.ok()) {

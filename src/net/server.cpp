@@ -16,12 +16,22 @@ namespace hprng::net {
 
 namespace {
 
+/// Longest poll() wait of the loop, and of stop() waiting out fills.
+constexpr std::chrono::milliseconds kMaxPollWait{100};
+
 /// Wall sleep for an injected kDelay outcome (net I/O is host-side, so
 /// delays are wall-clock, like the kWorker site).
 void apply_delay(const fault::Outcome& outcome) {
   if (outcome.delay() && outcome.delay_seconds > 0.0) {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(outcome.delay_seconds));
+  }
+}
+
+/// Read a nonblocking fd until it is empty (the self-pipe's wake bytes).
+void drain_fd(int fd) {
+  char buf[256];
+  while (read(fd, buf, sizeof(buf)) > 0) {
   }
 }
 
@@ -105,11 +115,6 @@ NetServer::NetServer(serve::RngService& service, ServerOptions opts,
   set_nonblocking(wake_pipe_[1]);
   ok_ = true;
   loop_thread_ = std::thread([this] { loop(); });
-  const int completers = std::max(1, opts_.completer_threads);
-  completers_.reserve(static_cast<std::size_t>(completers));
-  for (int i = 0; i < completers; ++i) {
-    completers_.emplace_back([this] { completer_loop(); });
-  }
 }
 
 NetServer::~NetServer() { stop(); }
@@ -131,18 +136,25 @@ void NetServer::wake() {
 void NetServer::stop() {
   if (stopping_.exchange(true)) {
     if (loop_thread_.joinable()) loop_thread_.join();
-    for (std::thread& t : completers_) {
-      if (t.joinable()) t.join();
-    }
     return;
   }
   wake();
-  cq_cv_.notify_all();
   if (loop_thread_.joinable()) loop_thread_.join();
-  for (std::thread& t : completers_) {
-    if (t.joinable()) t.join();
+  std::unique_lock<std::mutex> lk(mu_);
+  // Every accepted fill's settle hook calls into this server, so wait for
+  // all of them before tearing down. The sweep abandons fills still
+  // queued at their deadline, so a paused service cannot hold stop()
+  // past the open fills' timeouts.
+  for (;;) {
+    const int timeout_ms = sweep_deadlines();
+    reply_settled();
+    if (inflight_fills_.empty()) break;
+    lk.unlock();
+    pollfd pfd{wake_pipe_[0], POLLIN, 0};
+    poll(&pfd, 1, timeout_ms);
+    drain_fd(wake_pipe_[0]);
+    lk.lock();
   }
-  std::lock_guard<std::mutex> lk(mu_);
   for (auto& [id, c] : conns_) {
     // Leases still bound to live connections park as orphans so a future
     // server over the same (still-running) service could hand them back.
@@ -171,7 +183,7 @@ void NetServer::begin_drain() {
 
 bool NetServer::quiescent() const {
   std::lock_guard<std::mutex> lk(mu_);
-  if (inflight_fills_ != 0) return false;
+  if (!inflight_fills_.empty()) return false;
   for (const auto& [id, c] : conns_) {
     if (!c->wbuf.empty()) return false;
   }
@@ -189,6 +201,7 @@ NetServer::Stats NetServer::stats() const {
 void NetServer::loop() {
   std::vector<pollfd> pfds;
   std::vector<std::uint64_t> conn_of_pfd;  // 0 = not a connection slot
+  int timeout_ms = static_cast<int>(kMaxPollWait.count());
   while (!stopping_.load(std::memory_order_relaxed)) {
     const bool draining = draining_.load(std::memory_order_relaxed);
     pfds.clear();
@@ -212,18 +225,17 @@ void NetServer::loop() {
         conn_of_pfd.push_back(id);
       }
     }
-    const int rc = poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 100);
+    const int rc =
+        poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout_ms);
     if (stopping_.load(std::memory_order_relaxed)) break;
     if (rc < 0) {
       if (errno == EINTR) continue;
       break;  // poll itself failing is unrecoverable for the loop
     }
     std::lock_guard<std::mutex> lk(mu_);
-    if ((pfds[0].revents & POLLIN) != 0) {
-      char drain[256];
-      while (read(wake_pipe_[0], drain, sizeof(drain)) > 0) {
-      }
-    }
+    // Drained before reply_settled() takes the done list, so a hook that
+    // lists a fill after that always leaves a wake byte for the next poll.
+    if ((pfds[0].revents & POLLIN) != 0) drain_fd(wake_pipe_[0]);
     for (std::size_t i = 0; i < listeners_.size(); ++i) {
       if (!draining && (pfds[1 + i].revents & POLLIN) != 0) {
         accept_ready(i);
@@ -240,9 +252,11 @@ void NetServer::loop() {
       }
       if (!draining && (pfds[i].revents & POLLIN) != 0) read_ready(c);
     }
+    timeout_ms = sweep_deadlines();
+    reply_settled();
     // Flush every dirty connection once per iteration: replies written by
-    // op handlers above (and by completers between polls) go out now
-    // instead of waiting for the next POLLOUT wakeup.
+    // op handlers and fill acks queued above go out now instead of
+    // waiting for the next POLLOUT wakeup.
     std::vector<std::shared_ptr<Conn>> dirty;
     for (const auto& [id, c] : conns_) {
       if (!c->wbuf.empty()) dirty.push_back(c);
@@ -514,25 +528,22 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
                    "per-connection fill window full");
         return;
       }
-      auto buf = std::make_shared<std::vector<std::uint64_t>>(words);
       const std::chrono::nanoseconds timeout =
           timeout_ms == 0 ? std::chrono::nanoseconds{}
                           : std::chrono::milliseconds(timeout_ms);
-      PendingFill pending;
-      pending.conn_id = c->id;
-      pending.request_id = frame.request_id;
-      pending.lease_id = lease_id;
-      pending.buf = buf;
-      pending.ticket = it->second.fill_async(
-          std::span<std::uint64_t>(buf->data(), buf->size()), timeout);
+      const std::uint64_t key = next_fill_++;
+      Fill& fill = inflight_fills_[key];
+      fill.conn_id = c->id;
+      fill.request_id = frame.request_id;
+      fill.lease_id = lease_id;
+      fill.buf.resize(words);
+      fill.start = std::chrono::steady_clock::now();
+      fill.ticket = it->second.fill_async(
+          fill.buf, timeout, [this, key](serve::Status status) {
+            on_settled({key, status, std::chrono::steady_clock::now()});
+          });
       ++c->pending_fills;
-      ++inflight_fills_;
       ++stats_.fills;
-      {
-        std::lock_guard<std::mutex> cq(cq_mu_);
-        completer_queue_.push_back(std::move(pending));
-      }
-      cq_cv_.notify_one();
       return;
     }
     case Op::kRelease: {
@@ -722,57 +733,71 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
   }
 }
 
-void NetServer::completer_loop() {
-  for (;;) {
-    PendingFill job;
-    {
-      std::unique_lock<std::mutex> cq(cq_mu_);
-      cq_cv_.wait(cq, [this] {
-        return !completer_queue_.empty() ||
-               stopping_.load(std::memory_order_relaxed);
-      });
-      if (completer_queue_.empty()) {
-        if (stopping_.load(std::memory_order_relaxed)) return;
-        continue;
-      }
-      job = std::move(completer_queue_.front());
-      completer_queue_.pop_front();
+void NetServer::on_settled(const Settled& settled) {
+  std::lock_guard<std::mutex> lk(done_mu_);
+  done_.push_back(settled);
+  // The first entry wakes the loop; later ones ride the same wake-up. The
+  // write stays under done_mu_: once stop() has taken the last entry, no
+  // hook touches this server again.
+  if (done_.size() == 1) wake();
+}
+
+int NetServer::sweep_deadlines() {
+  const auto now = std::chrono::steady_clock::now();
+  auto next = now + kMaxPollWait;
+  for (auto& [key, fill] : inflight_fills_) {
+    const auto deadline = fill.ticket.deadline();
+    if (deadline > now) {
+      next = std::min(next, deadline);
+    } else {
+      // Still queued: it settles kTimeout here and its hook lists it.
+      // Claimed by a worker: it settles when served.
+      fill.ticket.abandon();
     }
-    const auto start = std::chrono::steady_clock::now();
-    const serve::Status status = job.ticket.wait();
-    const double seconds =
-        std::chrono::duration_cast<std::chrono::duration<double>>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    std::lock_guard<std::mutex> lk(mu_);
-    if (status == serve::Status::kOk) {
+  }
+  return static_cast<int>(
+      std::chrono::ceil<std::chrono::milliseconds>(next - now).count());
+}
+
+void NetServer::reply_settled() {
+  std::vector<Settled> settled;
+  {
+    std::lock_guard<std::mutex> lk(done_mu_);
+    settled.swap(done_);
+  }
+  for (const Settled& s : settled) {
+    const auto node = inflight_fills_.extract(s.fill);
+    HPRNG_CHECK(!node.empty(), "NetServer: settled fill is not in flight");
+    const Fill& fill = node.mapped();
+    if (s.status == serve::Status::kOk) {
       ++stats_.fills_ok;
       if (ins_.fills_ok != nullptr) ins_.fills_ok->add();
     } else {
       ++stats_.fills_rejected;
       if (ins_.fills_rejected != nullptr) ins_.fills_rejected->add();
     }
-    if (ins_.fill_seconds != nullptr) ins_.fill_seconds->observe(seconds);
-    --inflight_fills_;
-    const auto it = conns_.find(job.conn_id);
+    if (ins_.fill_seconds != nullptr) {
+      ins_.fill_seconds->observe(
+          std::chrono::duration<double>(s.at - fill.start).count());
+    }
+    const auto it = conns_.find(fill.conn_id);
     if (it == conns_.end()) continue;  // peer left; words are orphaned
     const std::shared_ptr<Conn>& c = it->second;
     if (c->pending_fills > 0) --c->pending_fills;
     WireWriter w;
-    w.put_u64(job.lease_id);
-    w.put_u32(static_cast<std::uint32_t>(status));
-    if (status == serve::Status::kOk) {
-      w.put_u32(static_cast<std::uint32_t>(job.buf->size()));
-      w.put_words(*job.buf);
+    w.put_u64(fill.lease_id);
+    w.put_u32(static_cast<std::uint32_t>(s.status));
+    if (s.status == serve::Status::kOk) {
+      w.put_u32(static_cast<std::uint32_t>(fill.buf.size()));
+      w.put_words(fill.buf);
     } else {
       w.put_u32(0);
     }
     Frame reply;
     reply.op = Op::kFillAck;
-    reply.request_id = job.request_id;
+    reply.request_id = fill.request_id;
     reply.payload = w.take();
     send(c, reply);
-    wake();  // the loop flushes dirty connections on wakeup
   }
 }
 

@@ -12,12 +12,16 @@
 // orphan table, kCkpt → checkpoint.
 //
 // Threading: one event-loop thread owns every connection (read buffers,
-// write buffers, the lease→Session maps); `completer_threads` completion
-// threads wait on fill Tickets — the only blocking step — and hand the
-// encoded kFillAck back to the loop through the server mutex plus a
-// self-pipe wakeup. All session open/release/adopt calls happen on the
-// loop thread, which is what makes kCkpt safe to run inline (RngService::
-// checkpoint demands no concurrent lease churn).
+// write buffers, the lease→Session maps) and is the server's only thread.
+// Each kFill is submitted with a settle hook: whichever thread settles the
+// request appends it to a small done list and wakes the loop through a
+// self-pipe, and the loop encodes the kFillAck and flushes it in the same
+// iteration. Nothing blocks on a fill, so a ready reply never queues
+// behind another connection's slow one. The loop also abandons fills
+// still queued at their deadline (kTimeout, as Ticket::wait() would). All
+// session open/release/adopt calls happen on the loop thread, which is
+// what makes kCkpt safe to run inline (RngService::checkpoint demands no
+// concurrent lease churn).
 //
 // Disconnect semantics (docs/NETWORK.md §6): a connection that drops
 // without releasing its leases orphans them — the streams stay live and a
@@ -31,9 +35,8 @@
 // chaos suite replays deterministically.
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -69,10 +72,6 @@ struct ServerOptions {
   /// full-queue rejection.
   std::size_t max_pending_fills = 64;
 
-  /// Threads waiting on fill Tickets (each blocks on one fill at a time;
-  /// size to the expected concurrent-fill fan-in, not to client count).
-  int completer_threads = 2;
-
   /// Optional deterministic fault injection at the net sites; not owned.
   fault::Injector* injector = nullptr;
 
@@ -84,8 +83,8 @@ struct ServerOptions {
 
 class NetServer {
  public:
-  /// Binds every endpoint and starts the loop + completer threads. On any
-  /// listen failure nothing runs: ok() is false and error() explains.
+  /// Binds every endpoint and starts the loop thread. On any listen
+  /// failure nothing runs: ok() is false and error() explains.
   /// The service must outlive the server; stop the server first.
   NetServer(serve::RngService& service, ServerOptions opts,
             obs::MetricsRegistry* metrics = nullptr);
@@ -100,8 +99,11 @@ class NetServer {
   /// Resolved listen endpoints (tcp:*:0 reports the kernel port).
   [[nodiscard]] std::vector<std::string> endpoints() const;
 
-  /// Stop accepting, settle every in-flight fill, flush what can be
-  /// flushed, close all connections and join the threads. Idempotent.
+  /// Stop accepting, join the loop thread, wait until every accepted
+  /// fill has settled (a fill still queued is abandoned at its deadline,
+  /// so a paused service delays this by at most the open fills'
+  /// timeouts), then close all connections. Unflushed replies are
+  /// dropped. Idempotent.
   void stop();
 
   /// Graceful-restart drain (docs/NETWORK.md §8): stop accepting AND stop
@@ -150,12 +152,22 @@ class NetServer {
     std::map<std::uint64_t, serve::Session> sessions;  ///< by lease id
   };
 
-  struct PendingFill {
+  /// An accepted kFill whose reply is not queued yet. `buf` is the
+  /// request's output span, so it stays put until the fill settles.
+  struct Fill {
     std::uint64_t conn_id = 0;
     std::uint64_t request_id = 0;
     std::uint64_t lease_id = 0;
+    std::vector<std::uint64_t> buf;
     serve::Ticket ticket;
-    std::shared_ptr<std::vector<std::uint64_t>> buf;
+    std::chrono::steady_clock::time_point start;  ///< before fill_async
+  };
+
+  /// What a fill's settle hook reports to the loop.
+  struct Settled {
+    std::uint64_t fill = 0;  ///< key in inflight_fills_
+    serve::Status status = serve::Status::kOk;
+    std::chrono::steady_clock::time_point at;  ///< when it settled
   };
 
   struct Instruments {
@@ -179,8 +191,15 @@ class NetServer {
   };
 
   void loop();
-  void completer_loop();
   void wake();
+  /// The settle hook's body: may run on any thread, under a shard mutex
+  /// or under mu_, so it takes only done_mu_.
+  void on_settled(const Settled& settled);
+  /// Abandon every fill still queued past its deadline; returns the poll
+  /// timeout (ms) that wakes the loop at the next open deadline.
+  int sweep_deadlines();                             // mu_ held
+  /// Queue the kFillAck of every fill on the done list.
+  void reply_settled();                              // mu_ held
   void accept_ready(std::size_t listener_idx);       // mu_ held
   void read_ready(const std::shared_ptr<Conn>& c);   // mu_ held
   void write_ready(const std::shared_ptr<Conn>& c);  // mu_ held
@@ -211,16 +230,17 @@ class NetServer {
   std::map<std::uint64_t, serve::Session> orphans_;  ///< by lease id
   std::uint64_t next_conn_id_ = 1;
   Stats stats_;
+  /// Accepted fills whose reply is not queued yet, by a server-wide
+  /// sequence number (mu_).
+  std::map<std::uint64_t, Fill> inflight_fills_;
+  std::uint64_t next_fill_ = 1;
 
-  std::mutex cq_mu_;
-  std::condition_variable cq_cv_;
-  std::deque<PendingFill> completer_queue_;
+  std::mutex done_mu_;
+  std::vector<Settled> done_;  ///< settled, reply not yet queued (done_mu_)
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
-  int inflight_fills_ = 0;  ///< accepted, reply not yet queued (mu_)
   std::thread loop_thread_;
-  std::vector<std::thread> completers_;
 };
 
 }  // namespace hprng::net

@@ -274,10 +274,12 @@ void RngService::release_lease(const Lease& lease) {
 
 RngService::RequestPtr RngService::submit(
     const std::shared_ptr<detail::SessionState>& session,
-    std::span<std::uint64_t> out, std::chrono::nanoseconds timeout) {
+    std::span<std::uint64_t> out, std::chrono::nanoseconds timeout,
+    std::function<void(Status)> on_settle) {
   auto req = std::make_shared<detail::Request>();
   req->session = session;
   req->out = out;
+  req->on_settle = std::move(on_settle);
   // One clock read per request: the submit time, the deadline and the
   // token-bucket refill below all derive from this single sample.
   req->submit_time = std::chrono::steady_clock::now();
@@ -350,12 +352,7 @@ Status RngService::wait(const RequestPtr& req) {
   }
   // Deadline passed while still queued. Try to abandon the request so no
   // worker ever touches `out` (whose storage the caller may now reclaim).
-  int expected = detail::Request::kPending;
-  if (req->phase.compare_exchange_strong(expected, detail::Request::kAbandoned,
-                                         std::memory_order_acq_rel)) {
-    req->session->service->settle(req, Status::kTimeout);
-    return Status::kTimeout;
-  }
+  if (abandon(req)) return Status::kTimeout;
   // A worker claimed it first: it is being served (or settled) right now —
   // wait out the completion.
   std::unique_lock<std::mutex> lk(req->mu);
@@ -363,9 +360,19 @@ Status RngService::wait(const RequestPtr& req) {
   return req->status;
 }
 
-void RngService::settle(const RequestPtr& req, Status status) {
+bool RngService::abandon(const RequestPtr& req) {
+  int expected = detail::Request::kPending;
+  // An immediate rejection settles without leaving kPending, so the claim
+  // can succeed on a settled request; settle() then reports no change.
+  return req->phase.compare_exchange_strong(expected,
+                                            detail::Request::kAbandoned,
+                                            std::memory_order_acq_rel) &&
+         req->session->service->settle(req, Status::kTimeout);
+}
+
+bool RngService::settle(const RequestPtr& req, Status status) {
   std::unique_lock<std::mutex> lk(req->mu);
-  if (req->done) return;  // exactly-once terminal transition
+  if (req->done) return false;  // exactly-once terminal transition
   req->status = status;
 
   // Quota conservation (docs/QOS.md §4): any charged request that fails
@@ -389,8 +396,12 @@ void RngService::settle(const RequestPtr& req, Status status) {
   }
 
   req->done = true;
+  // Moved out so the hook's captures are released once it has run.
+  const std::function<void(Status)> on_settle = std::move(req->on_settle);
   lk.unlock();
   req->cv.notify_all();
+  if (on_settle) on_settle(status);
+  return true;
 }
 
 void RngService::count(std::size_t event, std::uint64_t n) {
@@ -1163,9 +1174,11 @@ Status Session::fill(std::span<std::uint64_t> out,
 }
 
 Ticket Session::fill_async(std::span<std::uint64_t> out,
-                           std::chrono::nanoseconds timeout) {
+                           std::chrono::nanoseconds timeout,
+                           std::function<void(Status)> on_settle) {
   HPRNG_CHECK(valid(), "Session::fill_async: empty session");
-  return Ticket(state_->service->submit(state_, out, timeout));
+  return Ticket(
+      state_->service->submit(state_, out, timeout, std::move(on_settle)));
 }
 
 std::vector<std::uint64_t> Session::draw(std::size_t n) {
@@ -1189,6 +1202,16 @@ std::uint64_t Session::tenant() const {
 Status Ticket::wait() {
   HPRNG_CHECK(req_ != nullptr, "Ticket::wait: empty ticket");
   return RngService::wait(req_);
+}
+
+std::chrono::steady_clock::time_point Ticket::deadline() const {
+  HPRNG_CHECK(req_ != nullptr, "Ticket::deadline: empty ticket");
+  return req_->deadline;
+}
+
+bool Ticket::abandon() {
+  HPRNG_CHECK(req_ != nullptr, "Ticket::abandon: empty ticket");
+  return RngService::abandon(req_);
 }
 
 }  // namespace hprng::serve

@@ -85,6 +85,9 @@ struct Request {
   std::condition_variable cv;
   bool done = false;            ///< guarded by mu; set exactly once
   Status status = Status::kOk;  ///< guarded by mu; valid once done
+  /// Settle hook (Session::fill_async): set before the request is
+  /// published, run once by settle() after `done` is published.
+  std::function<void(Status)> on_settle;
 };
 
 /// Shared session state: releasing the last reference returns the lease
@@ -109,7 +112,7 @@ struct SessionState {
 }  // namespace detail
 
 /// Completion handle for an asynchronous fill. The output span passed to
-/// fill_async() must stay valid until wait() returns.
+/// fill_async() must stay valid until the request settles.
 class Ticket {
  public:
   Ticket() = default;
@@ -118,6 +121,15 @@ class Ticket {
   /// Block until the request reaches a terminal status and return it.
   /// Idempotent — repeated calls return the same status.
   Status wait();
+
+  /// When the request times out: its submit time plus its timeout.
+  [[nodiscard]] std::chrono::steady_clock::time_point deadline() const;
+
+  /// What wait() does at the deadline, without blocking: if no worker
+  /// has claimed the request it settles kTimeout now, and no worker will
+  /// touch its span afterwards. False when a worker claimed it first (it
+  /// then settles when served) or the request has already settled.
+  bool abandon();
 
  private:
   friend class Session;
@@ -141,9 +153,15 @@ class Session {
               std::chrono::nanoseconds timeout = {});
 
   /// Asynchronous fill: returns immediately; `out` must stay valid until
-  /// Ticket::wait() returns.
+  /// the request settles (Ticket::wait() returns, or `on_settle` runs).
+  /// A non-empty `on_settle` runs exactly once with the terminal status,
+  /// after wait() can observe it, on whichever thread settles the
+  /// request: a worker holding its shard's mutex, a caller of wait() or
+  /// abandon(), or this caller before fill_async returns (an immediate
+  /// rejection). It must not block or call into this service.
   Ticket fill_async(std::span<std::uint64_t> out,
-                    std::chrono::nanoseconds timeout = {});
+                    std::chrono::nanoseconds timeout = {},
+                    std::function<void(Status)> on_settle = {});
 
   /// Convenience: fill-and-return n draws; aborts unless the fill is kOk
   /// (use fill() where failure is expected).
@@ -421,10 +439,15 @@ class RngService {
                                    std::uint64_t tenant);
   RequestPtr submit(const std::shared_ptr<detail::SessionState>& session,
                     std::span<std::uint64_t> out,
-                    std::chrono::nanoseconds timeout);
+                    std::chrono::nanoseconds timeout,
+                    std::function<void(Status)> on_settle = {});
   static Status wait(const RequestPtr& req);
-  /// Publish the terminal status (exactly once) and count it.
-  void settle(const RequestPtr& req, Status status);
+  /// Claim kPending -> kAbandoned and settle kTimeout; false when a
+  /// worker's claim got there first or the request had already settled.
+  static bool abandon(const RequestPtr& req);
+  /// Publish the terminal status (exactly once) and count it; false when
+  /// the request had already settled.
+  bool settle(const RequestPtr& req, Status status);
   void count(std::size_t event, std::uint64_t n = 1);
   void release_lease(const Lease& lease);
   void worker_loop();

@@ -58,21 +58,38 @@ void patch_u64(std::string& buf, std::size_t at, std::uint64_t v) {
 }  // namespace
 
 std::uint32_t crc32(std::string_view data) {
-  // Table computed on first use; thread-safe under C++11 static init.
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slice-by-8: t[k][n] is the CRC register after byte n followed by k
+  // zero bytes, so eight table lookups advance the CRC by eight input
+  // bytes at once. Tables computed on first use; thread-safe under C++11
+  // static init.
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> tab{};
     for (std::uint32_t n = 0; n < 256; ++n) {
       std::uint32_t c = n;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[n] = c;
+      tab[0][n] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t n = 0; n < 256; ++n) {
+        tab[k][n] = tab[0][tab[k - 1][n] & 0xFFu] ^ (tab[k - 1][n] >> 8);
+      }
+    }
+    return tab;
   }();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFFu] ^ (crc >> 8);
+  const char* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_u32(p);
+    const std::uint32_t hi = load_u32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

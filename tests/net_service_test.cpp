@@ -2,7 +2,8 @@
 // (docs/NETWORK.md): the hello gate, lease/fill/release round trips that
 // must be bit-identical to an in-process reference service, pipelining,
 // protocol-level backpressure, full-queue rejection that never stalls the
-// poll loop, orphan adoption across connections, and
+// poll loop, a one-thread server whose replies go out as their fills
+// settle, wire deadlines, orphan adoption across connections, and
 // transparent client reconnection. Unix-domain sockets are the primary
 // transport (always available); the TCP test skips itself where the
 // sandbox forbids binding.
@@ -11,11 +12,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "quality/quality.hpp"
@@ -196,6 +201,155 @@ TEST(NetService, FullQueueRejectsWithoutStallingOtherConnections) {
   EXPECT_EQ(a.fill_wait(second, out, &err), serve::Status::kRejected) << err;
   service.resume();
   EXPECT_EQ(a.fill_wait(first, out, &err), serve::Status::kOk) << err;
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task", ec)) {
+    (void)entry;
+    ++n;
+  }
+  return ec ? 0 : n;
+}
+
+// The poll loop is the server's only thread: no thread waits on a fill.
+TEST(NetService, ServerStartsExactlyOneThread) {
+  serve::RngService service(small_options());
+  const std::size_t before = thread_count();
+  if (before == 0) GTEST_SKIP() << "/proc/self/task is not readable here";
+  const std::string ep = unique_unix_endpoint();
+  net::NetServer server(service, {.listen = {ep}});
+  ASSERT_TRUE(server.ok()) << server.error();
+  EXPECT_EQ(thread_count(), before + 1);
+}
+
+// A reply goes out as soon as its fill settles: fills stalled on one
+// shard must not hold back another connection's ready reply.
+TEST(NetService, ReadyReplyIsNotHeldBehindStalledFills) {
+  auto plan = fault::FaultPlan::parse("shard:0:delay:0:2:1.0");
+  ASSERT_TRUE(plan.has_value());
+  fault::Injector injector(*plan);
+  serve::ServiceOptions opts = small_options();
+  opts.num_workers = 4;
+  opts.injector = &injector;
+  serve::RngService service(opts);
+  const std::string ep = unique_unix_endpoint();
+  net::NetServer server(service, {.listen = {ep}});
+  ASSERT_TRUE(server.ok()) << server.error();
+
+  net::NetClient a(client_options(ep));
+  net::NetClient b(client_options(ep));
+  net::NetClient c(client_options(ep));
+  std::string err;
+  const auto lease_a = a.lease_on(0, &err);
+  ASSERT_TRUE(lease_a.has_value()) << err;
+  const auto lease_b = b.lease_on(0, &err);
+  ASSERT_TRUE(lease_b.has_value()) << err;
+  const auto lease_c = c.lease_on(1, &err);
+  ASSERT_TRUE(lease_c.has_value()) << err;
+
+  const std::uint64_t id_a = a.fill_submit(*lease_a, 16);
+  const std::uint64_t id_b = b.fill_submit(*lease_b, 16);
+  ASSERT_NE(id_a, 0u);
+  ASSERT_NE(id_b, 0u);
+  // Both stalled fills are popped before the third is sent, so no worker
+  // can batch the third behind them.
+  const auto popped = [&] {
+    const serve::RngService::Stats st = service.stats();
+    return st.submitted == 2 && st.queue_depth == 0;
+  };
+  for (int i = 0; i < 500 && !popped(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(popped()) << "fills never reached the workers";
+
+  std::vector<std::uint64_t> out(16);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_EQ(c.fill(*lease_c, out, &err), serve::Status::kOk) << err;
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(300))
+      << "a ready reply waited behind fills stalled on another shard";
+
+  EXPECT_EQ(a.fill_wait(id_a, out, &err), serve::Status::kOk) << err;
+  EXPECT_EQ(b.fill_wait(id_b, out, &err), serve::Status::kOk) << err;
+}
+
+// Nothing waits on a wire fill's ticket, so the server itself must time
+// out a fill still queued at its deadline, and the abandoned request must
+// not consume any words of the lease's stream.
+TEST(NetService, QueuedFillTimesOutAtItsDeadlineAndConsumesNothing) {
+  serve::ServiceOptions opts = small_options();
+  opts.default_timeout = std::chrono::milliseconds(300);
+  serve::RngService service(opts);
+  serve::RngService reference(opts);
+  const std::string ep = unique_unix_endpoint();
+  net::NetServer server(service, {.listen = {ep}});
+  ASSERT_TRUE(server.ok()) << server.error();
+
+  net::NetClient client(client_options(ep));
+  std::string err;
+  const auto lease = client.lease(&err);
+  ASSERT_TRUE(lease.has_value()) << err;
+  auto ref_session = reference.try_open_session();
+  ASSERT_TRUE(ref_session.has_value());
+  ASSERT_EQ(*lease, ref_session->lease().id);
+
+  service.pause();
+  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t id = client.fill_submit(*lease, 32);
+  ASSERT_NE(id, 0u);
+  std::vector<std::uint64_t> out(32);
+  EXPECT_EQ(client.fill_wait(id, out, &err), serve::Status::kTimeout) << err;
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  service.resume();
+
+  std::vector<std::uint64_t> wire(32);
+  std::vector<std::uint64_t> local(32);
+  ASSERT_EQ(client.fill(*lease, wire, &err), serve::Status::kOk) << err;
+  ASSERT_EQ(ref_session->fill(local), serve::Status::kOk);
+  EXPECT_EQ(wire, local);
+}
+
+// stop() waits for accepted fills to settle, but a paused service holds
+// it only until the open fill's deadline, not until resume().
+TEST(NetService, StopWaitsForAQueuedFillOnlyUntilItsDeadline) {
+  serve::ServiceOptions opts = small_options();
+  opts.default_timeout = std::chrono::milliseconds(300);
+  serve::RngService service(opts);
+  const std::string ep = unique_unix_endpoint();
+  net::NetServer server(service, {.listen = {ep}});
+  ASSERT_TRUE(server.ok()) << server.error();
+
+  net::NetClient client(client_options(ep));
+  std::string err;
+  const auto lease = client.lease(&err);
+  ASSERT_TRUE(lease.has_value()) << err;
+  service.pause();
+  ASSERT_NE(client.fill_submit(*lease, 32), 0u);
+  for (int i = 0; i < 500 && service.stats().submitted < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service.stats().submitted, 1u) << "fill never reached the loop";
+
+  // Resumes the service after 5 s, so a stop() that waits for the service
+  // instead of the deadline fails below rather than hanging.
+  std::atomic<bool> stopped{false};
+  std::thread resumer([&] {
+    for (int i = 0; i < 500 && !stopped.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    service.resume();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stopped.store(true);
+  resumer.join();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  EXPECT_EQ(service.stats().timed_out, 1u);
+  EXPECT_EQ(server.stats().fills_rejected, 1u);
 }
 
 TEST(NetService, FillOnForeignLeaseIsUnknownLease) {

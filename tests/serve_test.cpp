@@ -2,8 +2,9 @@
 // (the acceptance property: no two concurrently leased streams overlap),
 // the overload rule (a full queue rejects and never blocks), the two
 // deadline paths (a waiter times out, a worker sheds an expired request at
-// claim), queue-depth accounting at fences, request coalescing, and the
-// lease grant/release protocol under thread hammering (the TSan target).
+// claim), the fill_async settle hook, queue-depth accounting at fences,
+// request coalescing, and the lease grant/release protocol under thread
+// hammering (the TSan target).
 
 #include <algorithm>
 #include <atomic>
@@ -314,6 +315,60 @@ TEST(ServeDeadlines, AsyncTicketExpiredInQueueIsShedAtClaim) {
   EXPECT_EQ(stats.timed_out, 0u);
   EXPECT_EQ(stats.batches, 0u);
   EXPECT_EQ(stats.numbers_served, 0u);
+}
+
+// The settle hook of fill_async runs exactly once with the terminal status,
+// on each settling path: abandon() at the caller, a worker serving it, and
+// an immediate rejection before fill_async returns.
+TEST(ServeDeadlines, SettleHookRunsOnceOnEverySettlePath) {
+  auto opts = small_options("cpu-walk");
+  opts.num_workers = 1;
+  opts.queue_capacity = 1;
+  serve::RngService service(opts);
+  serve::Session session = service.open_session();
+  struct Seen {
+    std::atomic<int> calls{0};
+    std::atomic<serve::Status> status{serve::Status::kOk};
+  };
+  const auto hook = [](Seen& seen) {
+    return [&seen](serve::Status s) {
+      seen.status.store(s);
+      seen.calls.fetch_add(1);
+    };
+  };
+
+  service.pause();
+  std::vector<std::uint64_t> buf(8, kUntouched);
+  Seen abandoned;
+  serve::Ticket t1 = session.fill_async(buf, 10s, hook(abandoned));
+  EXPECT_GT(t1.deadline(), std::chrono::steady_clock::now() + 9s);
+  Seen rejected;  // the queue's one slot is taken: rejected at once
+  std::vector<std::uint64_t> other(8);
+  serve::Ticket t2 = session.fill_async(other, 10s, hook(rejected));
+  EXPECT_EQ(rejected.calls.load(), 1);
+  EXPECT_EQ(rejected.status.load(), serve::Status::kRejected);
+
+  EXPECT_TRUE(t1.abandon());
+  EXPECT_EQ(abandoned.calls.load(), 1);
+  EXPECT_EQ(abandoned.status.load(), serve::Status::kTimeout);
+  EXPECT_FALSE(t1.abandon());
+  EXPECT_FALSE(t2.abandon());  // settled already; no second status
+  EXPECT_EQ(t1.wait(), serve::Status::kTimeout);
+  EXPECT_EQ(t2.wait(), serve::Status::kRejected);
+
+  service.resume();
+  service.drain();  // the abandoned request leaves the queue's one slot
+  Seen served;
+  serve::Ticket t3 = session.fill_async(buf, 10s, hook(served));
+  EXPECT_EQ(t3.wait(), serve::Status::kOk);
+  service.drain();  // the hook runs after wait() can return
+  EXPECT_EQ(served.calls.load(), 1);
+  EXPECT_EQ(served.status.load(), serve::Status::kOk);
+  EXPECT_FALSE(t3.abandon());
+  EXPECT_EQ(abandoned.calls.load(), 1);
+  EXPECT_EQ(rejected.calls.load(), 1);
+  EXPECT_EQ(served.calls.load(), 1);
+  EXPECT_EQ(service.stats().timed_out, 1u);
 }
 
 // ------------------------------------------------------- queue accounting

@@ -6,8 +6,10 @@
 // trailing garbage, bounded SectionReader cursors that latch instead of
 // aborting, and the fault hooks on both file endpoints.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -42,6 +44,39 @@ TEST(Crc32, MatchesKnownVectors) {
   // IEEE 802.3 check value for "123456789".
   EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(crc32(""), 0x00000000u);
+}
+
+// The one-byte-at-a-time CRC-32 (reflected, polynomial 0xEDB88320) that
+// the sliced implementation must match bit for bit.
+std::uint32_t bytewise_crc32(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  std::string buf(64 * 1024 + 8, '\0');
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (char& ch : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    ch = static_cast<char>(x & 0xFF);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::string_view s(buf.data() + start, len);
+      ASSERT_EQ(crc32(s), bytewise_crc32(s))
+          << "start " << start << " len " << len;
+    }
+  }
+  const std::string_view big(buf.data() + 3, 64 * 1024);
+  EXPECT_EQ(crc32(big), bytewise_crc32(big));
 }
 
 TEST(FourCC, RoundTripsThroughTagName) {
