@@ -162,4 +162,15 @@ inline bool export_trace_json(const util::Cli& cli,
   return true;
 }
 
+/// Name on stderr every flag the binary was given but never read. Call it
+/// after the binary's last flag read; false means the binary must exit 2,
+/// so a misspelled flag cannot silently run the default shape.
+inline bool reject_unread_flags(const util::Cli& cli) {
+  const std::vector<std::string> unread = cli.unread();
+  for (const std::string& key : unread) {
+    std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+  }
+  return unread.empty();
+}
+
 }  // namespace hprng::bench

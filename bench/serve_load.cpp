@@ -156,7 +156,7 @@ void print_help() {
       "                          the load runs, then finishes with\n"
       "                          --scrub-passes synchronous passes\n"
       "  --scrub-passes=N        post-load deterministic passes (default 4)\n"
-      "  --scrub-streams=N --scrub-workers=N\n"
+      "  --scrub-streams=N       scrubbed leases (default 2)\n"
       "  --scrub-scale=F         battery sample-size multiplier (default 1)\n"
       "  --quality-json=PATH     write the machine-readable QualityReport\n"
       "execution (docs/PERFORMANCE.md §6):\n"
@@ -737,6 +737,7 @@ int run_wire(const util::Cli& cli) {
     json.add("frame_errors", static_cast<double>(wire.frame_errors));
     bench::export_bench_json(cli, json);
   }
+  if (!bench::reject_unread_flags(cli)) return 2;
 
   // Shape: without an injected fault plan (or a scenario that rejects by
   // design), every request must land kOk; leases reclaim (or deliberately
@@ -805,6 +806,12 @@ int main(int argc, char** argv) {
                  opts.backend.c_str(), backend_values().c_str());
     return 2;
   }
+  if (cli.has("scrub-workers")) {
+    // Removed flag: fail loudly rather than silently run another shape.
+    std::fprintf(stderr, "--scrub-workers was removed: smoke draws run in "
+                         "stream order on the scrub thread\n");
+    return 2;
+  }
   // Quality scrubbing (docs/QUALITY.md §5): the scrubber's leases ride the
   // same pool as the clients', so the default slot count covers them too.
   const bool scrub_enabled = cli.has("scrub-tier");
@@ -814,7 +821,6 @@ int main(int argc, char** argv) {
     opts.scrub.enabled = true;
     opts.scrub.tier = static_cast<int>(cli.get_u64("scrub-tier", 0));
     opts.scrub.streams = scrub_streams;
-    opts.scrub.workers = static_cast<int>(cli.get_u64("scrub-workers", 1));
     opts.scrub.battery_scale = cli.get_double("scrub-scale", 1.0);
   }
   const std::uint64_t lease_demand =
@@ -1361,6 +1367,7 @@ int main(int argc, char** argv) {
     write_tenant_json(tenant_json, scenario, tenant_stats, per_tenant,
                       offenders);
   }
+  if (!bench::reject_unread_flags(cli)) return 2;
 
   const bool shape = conserved && leases_clean && coalesced &&
                      ok.load() > 0 && fairness_ok;

@@ -374,5 +374,5 @@ int main(int argc, char** argv) {
   json.add("checkpoints", static_cast<double>(stats.checkpoints));
   bench::export_bench_json(cli, json);
   bench::export_metrics_json(cli, registry);
-  return 0;
+  return bench::reject_unread_flags(cli) ? 0 : 2;
 }

@@ -286,15 +286,13 @@ HybridPrng::LeasedFill HybridPrng::fill_leased(
     max_draws = std::max<std::uint64_t>(max_draws, d.out.size());
   }
   if (!initialize(threads)) {  // incremental: live walks keep their state
-    res.ok = false;            // nothing was enqueued
+    res.ok = false;            // nothing was charged
     return res;
   }
 
   // One packed wpd-per-draw feed slice per listed walk, one kernel thread
   // per listed walk (walks not listed cost nothing — unlike the batched
   // path, the serve pass is sized by the requests, not the walk range).
-  // The staging buffers are reused by every fill: each fill synchronizes
-  // before it returns, so no earlier op can still hold a span into them.
   const std::uint64_t wpd = words_per_draw();
   serve_offset_.resize(draws.size() + 1);
   serve_offset_[0] = 0;
@@ -302,163 +300,115 @@ HybridPrng::LeasedFill HybridPrng::fill_leased(
     serve_offset_[i + 1] = serve_offset_[i] + wpd * draws[i].out.size();
   }
   const std::uint64_t words = serve_offset_.back();
-  if (serve_host_bin_.size() < words) {
-    serve_host_bin_.resize(static_cast<std::size_t>(words));
-  }
-  if (serve_device_bin_.size() < words) serve_device_bin_.resize(words);
   if (serve_feed_pos_.size() < threads) {
     serve_feed_pos_.resize(static_cast<std::size_t>(threads), 0);
     serve_seen_.resize(static_cast<std::size_t>(threads), 0);
   }
 
-  // Duplicate-walk check over the reusable arena (flags reset below), plus
-  // — only when faults are possible — the transactional snapshot of the
-  // listed states.
-  serve_snapshot_.clear();
+  // Duplicate-walk check over the reusable arena (flags reset below).
   for (const LeasedDraw& d : draws) {
     char& flag = serve_seen_[static_cast<std::size_t>(d.walk)];
     HPRNG_CHECK(flag == 0, "fill_leased: walk listed twice");
     flag = 1;
-    if (fault_injector_ != nullptr) {
-      serve_snapshot_.emplace_back(
-          d.walk, states_.device_span()[static_cast<std::size_t>(d.walk)]);
-    }
   }
   for (const LeasedDraw& d : draws) {
     serve_seen_[static_cast<std::size_t>(d.walk)] = 0;
   }
 
-  // The fill is timed from an idle machine: nothing submitted before it
-  // can overlap it in virtual time.
-  device_.engine().fence();
-
-  // FEED: each listed walk's counter-addressed words, from its committed
-  // feed position, into the packed staging buffer. Charged at the feeder's
-  // production cost model; the injector is consulted at enqueue time,
-  // under the owner's lock, so event ordinals are deterministic
-  // (docs/FAULTS.md).
+  // The pass is one fenced FEED -> TRANSFER -> GENERATE chain, each stage
+  // starting when the previous one ends. FEED is charged at the feeder's
+  // production cost model. Both fault sites are consulted on every pass,
+  // in this order and under the owner's lock, so event ordinals are
+  // deterministic (docs/FAULTS.md); an injected delay lengthens its stage
+  // and a failed pass is still charged all three.
   double feed_seconds =
       feeder_.seconds_for_words(static_cast<std::size_t>(words)) +
       device_.spec().host_api_call_overhead_us * 1e-6;
-  bool feed_drop = false;
-  if (fault_injector_ != nullptr) {
-    const fault::Outcome o =
-        fault_injector_->on_event(fault::Site::kFeedFill, fault_target_);
-    feed_seconds += o.delay_seconds;
-    feed_drop = o.fail();
-  }
-  const sim::OpId feed = device_.host_task(
-      feed_stream_, "FEED", feed_seconds, [this, draws, feed_drop] {
-        // Underrun: positions are uncommitted, so the retry's feed is
-        // exactly the one this fill owed.
-        if (feed_drop) return;
-        for (std::size_t i = 0; i < draws.size(); ++i) {
-          // Counter-addressed: word k is a pure function of (root, pos + k),
-          // and simd::derive_fill_u32 vectorises the walk's whole range.
-          simd::derive_fill_u32(
-              serve_feed_root(draws[i].walk),
-              serve_feed_pos_[static_cast<std::size_t>(draws[i].walk)],
-              serve_host_bin_.data() + serve_offset_[i],
-              static_cast<std::size_t>(serve_offset_[i + 1] -
-                                       serve_offset_[i]));
-        }
-      });
-
-  sim::Stream xfer;
-  const sim::OpId copy = device_.memcpy_h2d(
-      xfer,
-      std::span<const std::uint32_t>(serve_host_bin_)
-          .first(static_cast<std::size_t>(words)),
-      serve_device_bin_, {feed});
-
-  // GENERATE: every draw starts on a fresh word-aligned reader over its
-  // own wpd-word slice — the same per-draw budget the batched path
-  // provisions per round — which is what makes a walk's stream invariant
-  // to how its draws are batched across fills.
+  double copy_seconds = device_.copy_seconds(
+      static_cast<std::size_t>(words) * sizeof(std::uint32_t));
+  bool dropped = false;
+  const auto consult = [&](fault::Site site, double* seconds) {
+    if (fault_injector_ == nullptr) return;
+    const fault::Outcome o = fault_injector_->on_event(site, fault_target_);
+    *seconds += o.delay_seconds;
+    dropped = dropped || o.fail();
+  };
+  consult(fault::Site::kFeedFill, &feed_seconds);
+  consult(fault::Site::kH2D, &copy_seconds);
   const sim::KernelCost cost{
       device_ops_for_draws(static_cast<double>(max_draws)),
       static_cast<double>(wpd * max_draws) * 4.0 +
           8.0 * static_cast<double>(max_draws)};
-  sim::OpId kernel;
-  if (simd::walk_vectorizable(cfg_.policy, cfg_.mode)) {
-    // Lane-batched hot path: fixed groups of kWalkGroup walks advance in
-    // vector lockstep (see serve_walk_group). Identical cost model, label
-    // and thread count — the virtual-time schedule cannot tell.
-    kernel = device_.launch_batched(
-        compute_stream_, "Generate(serve)",
-        static_cast<std::uint64_t>(draws.size()), cost, simd::kWalkGroup,
-        [this, draws, wpd](std::uint64_t lo, std::uint64_t hi) {
-          serve_walk_group(draws, wpd, lo, hi);
-        },
-        {copy});
-  } else {
-    kernel = device_.launch(
-        compute_stream_, "Generate(serve)",
-        static_cast<std::uint64_t>(draws.size()), cost,
-        [this, draws, wpd](std::uint64_t tid) {
-          const LeasedDraw& d = draws[static_cast<std::size_t>(tid)];
-          WalkState* state =
-              &states_.device_span()[static_cast<std::size_t>(d.walk)];
-          auto bin = serve_device_bin_.device_span().subspan(
-              static_cast<std::size_t>(serve_offset_[tid]),
-              static_cast<std::size_t>(serve_offset_[tid + 1] -
-                                       serve_offset_[tid]));
-          for (std::size_t j = 0; j < d.out.size(); ++j) {
-            BitReader bits{bin.subspan(static_cast<std::size_t>(j * wpd),
-                                       static_cast<std::size_t>(wpd))};
-            ThreadRng rng(state, bits, &cfg_);
-            d.out[j] = rng.next();
-          }
-        },
-        {copy});
-  }
+  res.sim_seconds = device_.engine().chain(
+      {{sim::Resource::kHost, feed_seconds},
+       {sim::Resource::kPcieH2D, copy_seconds},
+       {sim::Resource::kDevice,
+        device_.kernel_seconds(draws.size(), cost)}});
   if (metrics_ != nullptr) ins_.rounds->add(1);
-
-  device_.synchronize();
-  sim::Engine& engine = device_.engine();
-  res.sim_seconds = engine.end_time(kernel) - engine.start_time(feed);
-
-  const std::uint64_t faults = device_.take_transfer_faults() +
-                               feeder_.take_faults() + (feed_drop ? 1 : 0);
-  if (faults != 0) {
-    // Roll the transaction back: listed walks return to their pre-call
-    // states and (by never committing) feed positions.
-    for (const auto& [walk, state] : serve_snapshot_) {
-      states_.device_span()[static_cast<std::size_t>(walk)] = state;
-    }
+  if (dropped) {
+    // A dropped feed slice or transfer moves nothing: walk states, feed
+    // positions and the caller's buffers are untouched, so the retry
+    // serves exactly the words this pass owed.
     res.ok = false;
-  } else {
-    for (const LeasedDraw& d : draws) {
-      serve_feed_pos_[static_cast<std::size_t>(d.walk)] += wpd * d.out.size();
-    }
+    return res;
+  }
+
+  // FEED: each listed walk's counter-addressed words, from its committed
+  // feed position — word k is a pure function of (root, pos + k), and
+  // simd::derive_fill_u32 vectorises the walk's whole range.
+  if (serve_bin_.size() < words) {
+    serve_bin_.resize(static_cast<std::size_t>(words));
+  }
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    simd::derive_fill_u32(
+        serve_feed_root(draws[i].walk),
+        serve_feed_pos_[static_cast<std::size_t>(draws[i].walk)],
+        serve_bin_.data() + serve_offset_[i],
+        static_cast<std::size_t>(serve_offset_[i + 1] - serve_offset_[i]));
+  }
+  // GENERATE, in fixed groups of simd::kWalkGroup walks.
+  for (std::size_t lo = 0; lo < draws.size(); lo += simd::kWalkGroup) {
+    serve_walk_group(draws, wpd, lo,
+                     std::min<std::size_t>(draws.size(),
+                                           lo + simd::kWalkGroup));
+  }
+  for (const LeasedDraw& d : draws) {
+    serve_feed_pos_[static_cast<std::size_t>(d.walk)] += wpd * d.out.size();
   }
   return res;
 }
 
 void HybridPrng::serve_walk_group(std::span<const LeasedDraw> draws,
-                                  std::uint64_t wpd, std::uint64_t lo,
-                                  std::uint64_t hi) {
+                                  std::uint64_t wpd, std::size_t lo,
+                                  std::size_t hi) {
   simd::WalkLane lanes[simd::kWalkGroup];
   const int n = static_cast<int>(hi - lo);
-  const std::uint32_t* bin = serve_device_bin_.device_span().data();
+  const std::uint32_t* bin = serve_bin_.data();
   const auto states = states_.device_span();
   // Listed walks differ in draw count; the lanes advance their common
   // prefix in lockstep and each lane's ragged remainder finishes on the
-  // per-draw scalar path. Both paths are exact per draw, so the result is
-  // the per-tid kernel's, draw for draw.
-  std::uint64_t common = draws[static_cast<std::size_t>(lo)].out.size();
+  // per-draw scalar path. Configurations the lanes cannot run have no
+  // lockstep prefix. Every draw starts on a fresh word-aligned reader over
+  // its own wpd-word slice — the per-draw budget the batched path
+  // provisions per round — so a walk's stream is invariant to how its
+  // draws are batched across fills.
+  std::uint64_t common = simd::walk_vectorizable(cfg_.policy, cfg_.mode)
+                             ? draws[lo].out.size()
+                             : 0;
   for (int l = 0; l < n; ++l) {
-    const std::size_t i = static_cast<std::size_t>(lo) + l;
+    const std::size_t i = lo + static_cast<std::size_t>(l);
     const LeasedDraw& d = draws[i];
     const WalkState& s = states[static_cast<std::size_t>(d.walk)];
     lanes[l] = simd::WalkLane{s.v.x, s.v.y, bin + serve_offset_[i],
                               d.out.data()};
     common = std::min<std::uint64_t>(common, d.out.size());
   }
-  simd::walk_draws(lanes, n, common, static_cast<std::uint32_t>(wpd),
-                   cfg_.walk_len, cfg_.policy, cfg_.finalize_output);
+  if (common > 0) {
+    simd::walk_draws(lanes, n, common, static_cast<std::uint32_t>(wpd),
+                     cfg_.walk_len, cfg_.policy, cfg_.finalize_output);
+  }
   for (int l = 0; l < n; ++l) {
-    const std::size_t i = static_cast<std::size_t>(lo) + l;
+    const std::size_t i = lo + static_cast<std::size_t>(l);
     const LeasedDraw& d = draws[i];
     WalkState* state = &states[static_cast<std::size_t>(d.walk)];
     state->v = Vertex{lanes[l].x, lanes[l].y};

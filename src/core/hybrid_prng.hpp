@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "expander/bit_reader.hpp"
@@ -211,6 +210,9 @@ class HybridPrng {
   /// synchronous FEED/TRANSFER/GENERATE pass with a packed feed slice per
   /// listed walk and one kernel thread per listed walk — this is how small
   /// client requests coalesce. Each walk may appear at most once per call.
+  /// The pass runs directly, not as engine ops: it charges the simulated
+  /// clock through sim::Engine::chain, so engine storage does not grow
+  /// with the number of fills.
   ///
   /// Reproducibility contract (the serving layer's bit-identical-replay
   /// guarantee rests on it): each walk draws from its own counter-addressed
@@ -219,18 +221,20 @@ class HybridPrng {
   /// stream therefore depends only on how many draws it has made, never on
   /// which requests it was coalesced with or on scheduler timing.
   ///
-  /// The fill is transactional: on an injected transfer/feed fault the
-  /// listed walks roll back to their pre-call states and feed positions
-  /// (result.ok = false), so a retry — possibly in a different batch —
-  /// reproduces exactly the words the failed attempt owed.
+  /// Faults are decided before any data moves: on an injected feed or
+  /// transfer fault (result.ok = false) the pass is charged but moves
+  /// nothing — walk states, feed positions and the caller's buffers are
+  /// unchanged — so a retry, possibly in a different batch, serves exactly
+  /// the words the failed attempt owed.
   LeasedFill fill_leased(std::span<const LeasedDraw> draws);
 
   /// Attach (or with nullptr, detach) a fault injector (docs/FAULTS.md):
   /// forwards to Device::set_fault_injector and BitFeeder::
-  /// set_fault_injector, and consults Site::kFeedFill for the serve-path
-  /// counter feed. With an injector attached, initialize() and
-  /// fill_leased() turn injected transfer/feed failures into explicit
-  /// failed results with the walks rolled back (see their contracts).
+  /// set_fault_injector, and is itself consulted at Site::kFeedFill and
+  /// Site::kH2D by every fill_leased() pass. With an injector attached,
+  /// initialize() and fill_leased() turn injected transfer/feed failures
+  /// into explicit failed results that leave the walks as they were (see
+  /// their contracts).
   void set_fault_injector(fault::Injector* injector, int target = 0) {
     device_.set_fault_injector(injector, target);
     feeder_.set_fault_injector(injector, target);
@@ -243,7 +247,7 @@ class HybridPrng {
   /// Serialise the generator's complete deterministic state into the
   /// currently-open snapshot section: a config echo, the feeder's stream
   /// position, every initialised walk's vertex, and the serve feed
-  /// cursors (always committed between fills: fill_leased is synchronous).
+  /// cursors (fill_leased commits them before it returns).
   void save_state(state::SnapshotWriter& writer) const;
 
   /// Restore state written by save_state() into a generator constructed
@@ -327,24 +331,22 @@ class HybridPrng {
 
   // -- Serve-path fill state (fill_leased) -----------------------------------
   //
-  // One staging/device buffer pair and one scratch arena, reused by every
-  // fill, so steady-state fills grow none of them. Each walk's feed position
-  // is committed only when its fill lands, so a failed fill's retry
-  // replays the exact words the failure owed.
+  // One feed buffer and one scratch arena, reused by every fill, so
+  // steady-state fills grow none of them. A fill derives its feed, walks
+  // and commits feed positions only once no fault fired, so a failed
+  // fill's retry replays the exact words the failure owed.
 
-  /// Functional body of one serve GENERATE tid group [lo, hi): the listed
+  /// GENERATE for listed draws [lo, hi) (at most simd::kWalkGroup): the
   /// walks advance their common draw-count prefix in vector lockstep
   /// (simd::walk_draws) and finish ragged per-walk remainders on the
-  /// scalar per-draw path — bit-identical to the per-tid kernel for every
-  /// group partition. Only used when walk_vectorizable(policy, mode).
+  /// scalar per-draw path. Configurations the lanes cannot run
+  /// (simd::walk_vectorizable) take the scalar path for every draw. Both
+  /// paths are exact per draw, so outputs do not depend on the grouping.
   void serve_walk_group(std::span<const LeasedDraw> draws, std::uint64_t wpd,
-                        std::uint64_t lo, std::uint64_t hi);
+                        std::size_t lo, std::size_t hi);
 
-  std::vector<std::uint32_t> serve_host_bin_;
-  sim::Buffer<std::uint32_t> serve_device_bin_;
+  std::vector<std::uint32_t> serve_bin_;     ///< the pass's packed feed
   std::vector<std::uint64_t> serve_offset_;  ///< packed-bin bounds, n + 1
-  std::vector<std::pair<std::uint64_t, expander::WalkState>>
-      serve_snapshot_;  ///< listed walks' pre-fill states (injector only)
 
   std::vector<std::uint64_t> serve_feed_pos_;  ///< committed words per walk
   std::vector<std::uint64_t> serve_root_cache_;

@@ -407,7 +407,7 @@ QualityScrubber::SmokeResult QualityScrubber::scrub_stream(std::size_t i) {
   SmokeResult out;
   if (injector_ != nullptr) {
     // kQualityFeed: target = stream index. Each stream hits its target
-    // exactly once per pass, so plan ordinals are worker-count-invariant.
+    // exactly once per pass, so plan ordinals count passes.
     const fault::Outcome o = injector_->on_event(
         fault::Site::kQualityFeed, static_cast<int>(i));
     if (o.delay()) {
@@ -427,30 +427,9 @@ QualityScrubber::SmokeResult QualityScrubber::scrub_stream(std::size_t i) {
 void QualityScrubber::run_pass() {
   std::lock_guard<std::mutex> pass_lk(pass_mu_);
   std::vector<SmokeResult> results(streams_.size());
-
-  const int workers =
-      std::clamp(opts_.workers, 1,
-                 static_cast<int>(std::max<std::size_t>(streams_.size(), 1)));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      results[i] = scrub_stream(i);
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&] {
-      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < results.size();
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        results[i] = scrub_stream(i);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers) - 1);
-    for (int t = 1; t < workers; ++t) pool.emplace_back(worker);
-    worker();
-    for (std::thread& t : pool) t.join();
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    results[i] = scrub_stream(i);
   }
-
   finalize_pass(results);
 }
 

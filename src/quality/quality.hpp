@@ -24,14 +24,12 @@
 //
 // Determinism is the design constraint, exactly as for fault injection:
 // a quality verdict must be replayable or it is an unfalsifiable alarm.
-// Per-stream smoke draws are partitioned work (workers pull stream indices
-// off an atomic counter; results land in per-stream slots and merge in
-// stream order), batteries draw single-threaded through stream 0, and the
-// battery generator discards its partial buffer at every pass boundary —
-// so the QualityReport after N run_pass() calls is byte-identical for any
-// scrub worker count, and bit-exact across checkpoint/restore (the QUAL
-// snapshot section carries cursors, tier and history; streams resume via
-// lease adoption).
+// Per-stream smoke draws run in stream order on the scrub thread,
+// batteries draw through stream 0, and the battery generator discards its
+// partial buffer at every pass boundary — so the QualityReport after N
+// run_pass() calls is byte-identical from run to run, and bit-exact
+// across checkpoint/restore (the QUAL snapshot section carries cursors,
+// tier and history; streams resume via lease adoption).
 //
 // Wiring: knobs ride on serve::ServiceOptions::scrub; gauges/counters are
 // the `hprng.quality.*` catalogue (docs/OBSERVABILITY.md); snapshots get a
@@ -133,9 +131,8 @@ class QualityScrubber {
   QualityScrubber(const QualityScrubber&) = delete;
   QualityScrubber& operator=(const QualityScrubber&) = delete;
 
-  /// Run exactly one scrub pass: per-stream smoke draws (partitioned over
-  /// ScrubberOptions::workers threads), then — single-threaded — the
-  /// escalation decision and any tier-1/2 battery. Blocks while a
+  /// Run exactly one scrub pass: per-stream smoke draws in stream order,
+  /// then the escalation decision and any tier-1/2 battery. Blocks while a
   /// checkpoint holds the pass fence.
   void run_pass();
   void run_passes(int n);
@@ -192,7 +189,7 @@ class QualityScrubber {
     obs::Gauge* streams = nullptr;
   };
 
-  /// Draw + smoke-test stream `i` (worker threads; no shared mutation).
+  /// Draw + smoke-test stream `i` (no shared mutation).
   [[nodiscard]] SmokeResult scrub_stream(std::size_t i);
   /// Merge results in stream order, decide escalation, run batteries and
   /// publish instruments. Single-threaded, under pass_mu_.

@@ -57,10 +57,6 @@ struct ScrubberOptions {
   /// u64 words drawn per stream per pass for the smoke statistics.
   std::uint64_t pass_words = 4096;
 
-  /// Scrub worker threads for the per-stream smoke draws. Report-invariant:
-  /// any worker count produces the byte-identical QualityReport.
-  int workers = 1;
-
   /// Background-mode pacing: fraction of wall time spent scrubbing; after
   /// each pass the scrub thread sleeps pass_time * (1 - duty) / duty, so
   /// foreground fills keep the machine (docs/QUALITY.md §5).

@@ -108,6 +108,20 @@ double Engine::run_all() {
   return batch_max - batch_min;
 }
 
+double Engine::chain(std::initializer_list<Step> steps) {
+  HPRNG_CHECK(first_pending_ == ops_.size(), "chain: ops are pending");
+  fence();
+  const double start = now_;
+  for (const Step& s : steps) {
+    HPRNG_CHECK(s.seconds >= 0.0, "op duration must be non-negative");
+    // run_all()'s end = start + duration + extra, with extra = 0.0 for a
+    // static op; adding 0.0 is exact, so this is the same double.
+    now_ += s.seconds;
+    resource_free_[static_cast<std::size_t>(s.resource)] = now_;
+  }
+  return now_ - start;
+}
+
 double Engine::end_time(OpId id) const {
   HPRNG_CHECK(id < ops_.size() && ops_[id].executed,
               "end_time: op not yet executed");

@@ -23,27 +23,41 @@ Cli::Cli(int argc, char** argv) {
   }
 }
 
+const std::string* Cli::find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = kv_.find(key);
+  return it == kv_.end() ? nullptr : &it->second;
+}
+
 std::uint64_t Cli::get_u64(const std::string& key, std::uint64_t def) const {
-  auto it = kv_.find(key);
-  return it == kv_.end() ? def : std::strtoull(it->second.c_str(), nullptr, 0);
+  const std::string* v = find(key);
+  return v == nullptr ? def : std::strtoull(v->c_str(), nullptr, 0);
 }
 
 double Cli::get_double(const std::string& key, double def) const {
-  auto it = kv_.find(key);
-  return it == kv_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = find(key);
+  return v == nullptr ? def : std::strtod(v->c_str(), nullptr);
 }
 
 std::string Cli::get_string(const std::string& key, std::string def) const {
-  auto it = kv_.find(key);
-  return it == kv_.end() ? def : it->second;
+  const std::string* v = find(key);
+  return v == nullptr ? def : *v;
 }
 
 bool Cli::get_bool(const std::string& key, bool def) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
+  return *v == "true" || *v == "1" || *v == "yes";
 }
 
-bool Cli::has(const std::string& key) const { return kv_.count(key) != 0; }
+bool Cli::has(const std::string& key) const { return find(key) != nullptr; }
+
+std::vector<std::string> Cli::unread() const {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : kv_) {
+    if (read_.count(key) == 0) out.push_back(key);
+  }
+  return out;
+}
 
 }  // namespace hprng::util

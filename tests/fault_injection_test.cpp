@@ -265,9 +265,14 @@ core::HybridPrngConfig small_cfg() {
   return cfg;
 }
 
+/// Written into every caller buffer before a fill, so a failed fill that
+/// touches it shows.
+constexpr std::uint64_t kSentinel = 0x5E5E5E5E5E5E5E5Eull;
+
 std::vector<std::uint64_t> fill_walks(core::HybridPrng& prng, int walks,
                                       std::size_t draws, bool* ok) {
-  std::vector<std::uint64_t> out(static_cast<std::size_t>(walks) * draws);
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(walks) * draws,
+                                 kSentinel);
   std::vector<core::HybridPrng::LeasedDraw> req;
   for (int w = 0; w < walks; ++w) {
     req.push_back({static_cast<std::uint64_t>(w),
@@ -299,8 +304,10 @@ TEST(HybridPrngFaults, TransferFaultRollsBackAndRetryIsBitIdentical) {
   prng.set_fault_injector(&inj);
 
   ok = true;
-  (void)fill_walks(prng, 2, 16, &ok);
+  const auto failed = fill_walks(prng, 2, 16, &ok);
   EXPECT_FALSE(ok) << "dropped transfer must surface as a failed fill";
+  EXPECT_EQ(failed, std::vector<std::uint64_t>(32, kSentinel))
+      << "a failed fill must leave the caller's buffer unchanged";
 
   // The fault window is exhausted; the retry must reproduce EXACTLY the
   // words the failed attempt owed — transactional rollback of both walk
@@ -328,8 +335,10 @@ TEST(HybridPrngFaults, FeedFaultRollsBackAndRetryIsBitIdentical) {
   Injector inj(plan);
   prng.set_fault_injector(&inj);
 
-  (void)fill_walks(prng, 2, 8, &ok);
+  const auto failed = fill_walks(prng, 2, 8, &ok);
   EXPECT_FALSE(ok) << "a dropped feed slice must fail the fill";
+  EXPECT_EQ(failed, std::vector<std::uint64_t>(16, kSentinel))
+      << "a failed fill must leave the caller's buffer unchanged";
   const auto retry = fill_walks(prng, 2, 8, &ok);
   ASSERT_TRUE(ok);
   EXPECT_EQ(retry, ref1);

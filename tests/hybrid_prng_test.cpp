@@ -306,5 +306,100 @@ TEST(HybridPrng, ServeFillSimulatedClockIsPinned) {
   }
 }
 
+/// One serve pass: walk w advances n draws for every (w, n) listed;
+/// returns the served words in listing order.
+std::vector<std::uint64_t> serve_pass(
+    HybridPrng& prng,
+    const std::vector<std::pair<std::uint64_t, std::size_t>>& walks) {
+  std::vector<std::vector<std::uint64_t>> bufs;
+  std::vector<HybridPrng::LeasedDraw> draws;
+  bufs.reserve(walks.size());
+  for (const auto& [walk, n] : walks) {
+    bufs.emplace_back(n);
+    draws.push_back({walk, std::span(bufs.back())});
+  }
+  EXPECT_TRUE(prng.fill_leased(draws).ok);
+  std::vector<std::uint64_t> flat;
+  for (const auto& b : bufs) flat.insert(flat.end(), b.begin(), b.end());
+  return flat;
+}
+
+TEST(HybridPrng, ServeFillsKeepEngineStorageFlat) {
+  // A serve fill is one fenced chain: it must charge the simulated clock
+  // without leaving ops or timeline entries behind, or a long-running
+  // server grows without bound.
+  sim::Device dev;
+  HybridPrngConfig cfg;
+  cfg.walk_len = 8;
+  HybridPrng prng(dev, cfg);
+  const std::vector<std::pair<std::uint64_t, std::size_t>> walks{
+      {0, 16}, {1, 3}, {5, 7}};
+  constexpr int kFills = 20;
+  for (int i = 0; i < kFills; ++i) (void)serve_pass(prng, walks);
+  const sim::OpId ops = dev.engine().next_id();
+  const std::size_t entries = dev.timeline().entries().size();
+  const double now = dev.engine().now();
+  for (int i = 0; i < 10 * kFills; ++i) (void)serve_pass(prng, walks);
+  EXPECT_EQ(dev.engine().next_id(), ops);
+  EXPECT_EQ(dev.timeline().entries().size(), entries);
+  EXPECT_GT(dev.engine().now(), now) << "the fills must still be charged";
+}
+
+/// 64-bit FNV-1a over every word's bytes, least significant first.
+std::uint64_t fnv1a(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint64_t w : words) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(HybridPrng, ScalarServeStreamsArePinned) {
+  // The configurations the SIMD lanes cannot run (kRejection's variable
+  // consumption, the alternating walk) take the per-draw scalar path.
+  // Five passes — mixed draw counts, walks out of tid order, a pass wider
+  // than simd::kWalkGroup, walks revisited mid-stream — hashed per config.
+  const std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>>
+      passes{
+          {{20, 5}, {18, 1}, {16, 9}, {14, 8}, {12, 2}, {10, 7},
+           {8, 3}, {6, 4}, {4, 6}, {2, 1}, {0, 8}},
+          {{0, 5}, {4, 5}, {8, 5}, {12, 5}},
+          {{3, 16}},
+          {{21, 2}, {2, 3}, {5, 4}, {9, 2}, {14, 3}, {17, 4}, {19, 2},
+           {1, 3}, {6, 4}},
+          {{0, 1}, {3, 2}, {20, 11}},
+      };
+  struct Case {
+    expander::NeighborPolicy policy;
+    expander::WalkMode mode;
+    std::uint64_t hash;
+  };
+  for (const Case& c :
+       {Case{expander::NeighborPolicy::kRejection,
+             expander::WalkMode::kForwardOnly, 0x4df7b8fc81816f82ull},
+        Case{expander::NeighborPolicy::kMod7,
+             expander::WalkMode::kAlternating, 0x6d58e309d09e0448ull}}) {
+    sim::Device dev;
+    HybridPrngConfig cfg;
+    cfg.seed = 0x5EEDFACEu;
+    cfg.walk_len = 11;
+    cfg.policy = c.policy;
+    cfg.mode = c.mode;
+    HybridPrng prng(dev, cfg);
+    std::vector<std::uint64_t> served;
+    for (const auto& pass : passes) {
+      const std::vector<std::uint64_t> words = serve_pass(prng, pass);
+      served.insert(served.end(), words.begin(), words.end());
+    }
+    EXPECT_EQ(fnv1a(served), c.hash)
+        << "policy=" << static_cast<int>(c.policy)
+        << " mode=" << static_cast<int>(c.mode) << std::hex
+        << " got 0x" << fnv1a(served);
+  }
+}
+
 }  // namespace
 }  // namespace hprng::core

@@ -1,10 +1,9 @@
 // Continuous quality scrubbing tests (docs/QUALITY.md).
 //
 // The contracts pinned here: (1) a QualityReport after N synchronous
-// passes is byte-identical for ANY scrub worker count — the smoke draws
-// are partitioned work merged in stream order, never racing state; (2)
-// the report is deterministic per backend family through real leased
-// serve streams; (3) the quality_feed / quality_verdict fault sites flip
+// passes is byte-identical from run to run — the smoke draws run in
+// stream order on the scrub thread; (2) the report is deterministic per
+// backend family through real leased serve streams; (3) the quality_feed / quality_verdict fault sites flip
 // exactly the targeted backend anomalous and never perturb foreground
 // lease streams (golden-pinned survivor check, HPRNG_CHAOS_SEED replay);
 // (4) scrub cursors, tier and anomaly history survive checkpoint/restore
@@ -34,7 +33,7 @@ const char* const kBackendFamilies[] = {"hybrid", "cpu-walk", "philox",
                                         "md5-counter", "mt19937"};
 
 serve::ServiceOptions scrub_options(const std::string& backend,
-                                    int workers = 1, int tier = 0) {
+                                    int tier = 0) {
   serve::ServiceOptions opts;
   opts.backend = backend;
   opts.num_shards = 2;
@@ -46,7 +45,6 @@ serve::ServiceOptions scrub_options(const std::string& backend,
   opts.scrub.tier = tier;
   opts.scrub.streams = 4;
   opts.scrub.pass_words = 512;
-  opts.scrub.workers = workers;
   // Tiny batteries: the suite pins determinism and control flow, not
   // statistical power (tier-2 suites own that).
   opts.scrub.battery_scale = 0.02;
@@ -63,26 +61,14 @@ std::string scrub_json(const serve::ServiceOptions& opts, int passes,
   return rep.to_json();
 }
 
-TEST(ReportDeterminism, ByteIdenticalAcrossWorkerCounts) {
-  // Same seed + backend must yield the byte-identical QualityReport for
-  // 1, 2 and 8 scrub workers — worker count is a wall-clock dial, never a
-  // result dial (docs/QUALITY.md §2).
-  const std::string one = scrub_json(scrub_options("hybrid", 1), 4);
-  const std::string two = scrub_json(scrub_options("hybrid", 2), 4);
-  const std::string eight = scrub_json(scrub_options("hybrid", 8), 4);
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, eight);
-  EXPECT_NE(one.find("\"passes\":4"), std::string::npos);
-}
-
 TEST(ReportDeterminism, EveryBackendFamilyScrubsDeterministically) {
   for (const char* backend : kBackendFamilies) {
     SCOPED_TRACE(backend);
     ASSERT_TRUE(serve::backend_known(backend));
     quality::QualityReport rep;
     const std::string a = scrub_json(scrub_options(backend), 3, &rep);
-    const std::string b = scrub_json(scrub_options(backend, /*workers=*/2), 3);
-    EXPECT_EQ(a, b) << "scrub report must not depend on worker count";
+    const std::string b = scrub_json(scrub_options(backend), 3);
+    EXPECT_EQ(a, b) << "scrub report must be replayable";
     EXPECT_EQ(rep.backend, backend);
     EXPECT_EQ(rep.passes, 3u);
     EXPECT_EQ(rep.feed_failures, 0u);
@@ -100,8 +86,8 @@ TEST(ReportDeterminism, TieredBatteryRunsAreDeterministicToo) {
   // Resting tier 1: every pass runs the scaled SmallCrush-equivalent
   // battery through stream 0's lease. Two identical runs must agree to
   // the last serialized bit, battery verdict included.
-  const std::string a = scrub_json(scrub_options("philox", 1, /*tier=*/1), 2);
-  const std::string b = scrub_json(scrub_options("philox", 1, /*tier=*/1), 2);
+  const std::string a = scrub_json(scrub_options("philox", /*tier=*/1), 2);
+  const std::string b = scrub_json(scrub_options("philox", /*tier=*/1), 2);
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"batteries\":2"), std::string::npos) << a;
   EXPECT_NE(a.find("\"last_battery\":\"scrub-smallcrush\""),
@@ -196,7 +182,7 @@ TEST(QualityChaos, FeedFaultIsCountedAndReplayable) {
     const auto plan = fault::FaultPlan::parse(plan_text);
     EXPECT_TRUE(plan.has_value());
     fault::Injector injector(*plan);
-    serve::ServiceOptions opts = scrub_options("cpu-walk", /*workers=*/2);
+    serve::ServiceOptions opts = scrub_options("cpu-walk");
     opts.injector = &injector;
     serve::RngService service(opts);
     quality::QualityScrubber scrubber(service);
@@ -259,7 +245,7 @@ TEST(ScrubCheckpoint, CursorsAndHistoryResumeBitExact) {
   // advancement) cross the snapshot boundary too.
   const std::string path =
       testing::TempDir() + "hprng_quality_scrub_resume.snap";
-  serve::ServiceOptions opts = scrub_options("hybrid", 1, /*tier=*/1);
+  serve::ServiceOptions opts = scrub_options("hybrid", /*tier=*/1);
 
   std::string original_json;
   {

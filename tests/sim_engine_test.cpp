@@ -129,6 +129,50 @@ TEST(Engine, FenceIsIdempotent) {
   EXPECT_DOUBLE_EQ(e.start_time(b), 2.0);
 }
 
+TEST(Engine, ChainMatchesRunAllOnAFencedChainAndRecordsNothing) {
+  // Both engines start mid-run with the resources free at different times
+  // (non-dyadic durations, so any change in the arithmetic shows).
+  Engine ref, e;
+  for (Engine* x : {&ref, &e}) {
+    x->submit(Resource::kHost, "a", 1.0 / 3.0, {}, nullptr);
+    x->submit(Resource::kDevice, "b", 0.7, {}, nullptr);
+    x->submit(Resource::kPcieD2H, "c", 0.1, {}, nullptr);
+    x->run_all();
+  }
+  ref.fence();
+  const OpId f = ref.submit(Resource::kHost, "FEED", 0.1, {}, nullptr);
+  const OpId c = ref.submit(Resource::kPcieH2D, "Transfer", 0.2, {f}, nullptr);
+  const OpId g = ref.submit(Resource::kDevice, "Generate", 0.3, {c}, nullptr);
+  ref.run_all();
+
+  const OpId ops = e.next_id();
+  const std::size_t entries = e.timeline().entries().size();
+  const double seconds = e.chain({{Resource::kHost, 0.1},
+                                  {Resource::kPcieH2D, 0.2},
+                                  {Resource::kDevice, 0.3}});
+  EXPECT_EQ(seconds, ref.end_time(g) - ref.start_time(f));
+  EXPECT_EQ(e.now(), ref.now());
+  EXPECT_EQ(e.next_id(), ops) << "chain() must record no op";
+  EXPECT_EQ(e.timeline().entries().size(), entries)
+      << "chain() must record no timeline entry";
+
+  // Each resource's free time shows as the start of a later op on it.
+  std::vector<OpId> ref_probe, probe;
+  for (int r = 0; r < kNumResources; ++r) {
+    const auto res = static_cast<Resource>(r);
+    ref_probe.push_back(ref.submit(res, "probe", 1.0, {}, nullptr));
+    probe.push_back(e.submit(res, "probe", 1.0, {}, nullptr));
+  }
+  ref.run_all();
+  e.run_all();
+  for (int r = 0; r < kNumResources; ++r) {
+    EXPECT_EQ(e.start_time(probe[static_cast<std::size_t>(r)]),
+              ref.start_time(ref_probe[static_cast<std::size_t>(r)]))
+        << to_string(static_cast<Resource>(r));
+  }
+  EXPECT_EQ(e.now(), ref.now());
+}
+
 TEST(Engine, ForwardDependenciesAreRejected) {
   Engine e;
   EXPECT_DEATH(e.submit(Resource::kHost, "bad", 1.0, {5}, nullptr),

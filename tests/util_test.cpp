@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -45,6 +48,23 @@ TEST(Cli, ParsesFlags) {
   EXPECT_EQ(cli.get_u64("missing", 7), 7u);
   EXPECT_TRUE(cli.has("n"));
   EXPECT_FALSE(cli.has("m"));
+}
+
+TEST(Cli, UnreadNamesFlagsNoLookupAskedFor) {
+  // The misspelled window flag must show up, not silently run the default.
+  const char* argv[] = {"prog", "--clients=1", "--inflght=4", "--n=16",
+                        "--open-loop", "--zeta"};
+  Cli cli(6, const_cast<char**>(argv));
+  EXPECT_EQ(cli.unread(), (std::vector<std::string>{
+                              "clients", "inflght", "n", "open-loop", "zeta"}));
+  EXPECT_EQ(cli.get_u64("clients", 8), 1u);
+  EXPECT_EQ(cli.get_u64("inflight", 1), 1u);  // asked for, never given
+  EXPECT_EQ(cli.get_double("n", 0.0), 16.0);
+  EXPECT_TRUE(cli.has("open-loop"));
+  EXPECT_EQ(cli.unread(), (std::vector<std::string>{"inflght", "zeta"}));
+  EXPECT_TRUE(cli.get_bool("zeta", false));  // a bare flag reads "true"
+  EXPECT_EQ(cli.get_string("inflght", ""), "4");
+  EXPECT_TRUE(cli.unread().empty());
 }
 
 TEST(WallTimer, MeasuresForwardTime) {
