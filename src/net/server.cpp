@@ -28,6 +28,9 @@ void apply_delay(const fault::Outcome& outcome) {
   }
 }
 
+/// The server whose event loop runs on this thread, if any.
+thread_local const NetServer* t_loop_server = nullptr;
+
 /// Read a nonblocking fd until it is empty (the self-pipe's wake bytes).
 void drain_fd(int fd) {
   char buf[256];
@@ -199,6 +202,7 @@ NetServer::Stats NetServer::stats() const {
 }
 
 void NetServer::loop() {
+  t_loop_server = this;
   std::vector<pollfd> pfds;
   std::vector<std::uint64_t> conn_of_pfd;  // 0 = not a connection slot
   int timeout_ms = static_cast<int>(kMaxPollWait.count());
@@ -736,10 +740,13 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
 void NetServer::on_settled(const Settled& settled) {
   std::lock_guard<std::mutex> lk(done_mu_);
   done_.push_back(settled);
-  // The first entry wakes the loop; later ones ride the same wake-up. The
-  // write stays under done_mu_: once stop() has taken the last entry, no
-  // hook touches this server again.
-  if (done_.size() == 1) wake();
+  // The loop itself settles fills it served in place, rejections and
+  // expired fills; its reply_settled() later in the same iteration
+  // answers them, so it writes no wake byte. Another thread's first entry
+  // wakes the loop; later ones ride the same wake-up. The write stays
+  // under done_mu_: once stop() has taken the last entry, no hook touches
+  // this server again.
+  if (done_.size() == 1 && t_loop_server != this) wake();
 }
 
 int NetServer::sweep_deadlines() {

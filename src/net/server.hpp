@@ -8,16 +8,20 @@
 // fill_async (the request lands on the service's existing bounded MPMC
 // worker queue — the wire adds no second queue, so the serve layer's
 // full-queue rule, an immediate kRejected, IS the network backpressure;
-// fill_async never blocks the loop thread), kAdopt → adopt_session / the
+// fill_async never waits on a worker, and serves at most a 256-word fill
+// on the loop thread), kAdopt → adopt_session / the
 // orphan table, kCkpt → checkpoint.
 //
 // Threading: one event-loop thread owns every connection (read buffers,
 // write buffers, the lease→Session maps) and is the server's only thread.
 // Each kFill is submitted with a settle hook: whichever thread settles the
-// request appends it to a small done list and wakes the loop through a
-// self-pipe, and the loop encodes the kFillAck and flushes it in the same
-// iteration. Nothing blocks on a fill, so a ready reply never queues
-// behind another connection's slow one. The loop also abandons fills
+// request appends it to a small done list, and the loop encodes the
+// kFillAck and flushes it in the same iteration. An idle service serves
+// a small fill on the loop thread itself, inside fill_async (docs/
+// SERVING.md §4), and its reply goes out in that iteration's flush; only
+// a fill another thread settles wakes the loop through a self-pipe.
+// Nothing blocks on a fill, so a ready reply never queues behind another
+// connection's slow one. The loop also abandons fills
 // still queued at their deadline (kTimeout, as Ticket::wait() would). All
 // session open/release/adopt calls happen on the loop thread, which is
 // what makes kCkpt safe to run inline (RngService::checkpoint demands no
@@ -192,8 +196,9 @@ class NetServer {
 
   void loop();
   void wake();
-  /// The settle hook's body: may run on any thread, under a shard mutex
-  /// or under mu_, so it takes only done_mu_.
+  /// The settle hook's body: may run on any thread — a worker, or the
+  /// loop itself under mu_ — so it takes only done_mu_. Writes the
+  /// self-pipe only off the loop thread.
   void on_settled(const Settled& settled);
   /// Abandon every fill still queued past its deadline; returns the poll
   /// timeout (ms) that wakes the loop at the next open deadline.

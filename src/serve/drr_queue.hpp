@@ -22,6 +22,8 @@
 // Admission is one non-blocking rule: try_push() reports kFull at
 // capacity and the caller rejects (docs/SERVING.md §4). Nothing ever
 // waits for queue space, and nothing already queued is evicted.
+// push_or_take() is the same admission, except that an idle queue pops
+// the item at once for the caller to serve itself.
 
 #include <atomic>
 #include <condition_variable>
@@ -39,7 +41,8 @@ namespace hprng::serve {
 template <typename T>
 class DrrQueue {
  public:
-  enum class PushResult { kOk, kFull, kClosed };
+  /// kTaken: push_or_take() popped the item at once instead of queueing it.
+  enum class PushResult { kOk, kFull, kClosed, kTaken };
 
   /// Classifier / cost accessors are intrinsic to the item type; the
   /// weight function is consulted at every scheduler visit (so policy
@@ -64,10 +67,33 @@ class DrrQueue {
         quantum_(quantum_words == 0 ? 1 : quantum_words) {}
 
   PushResult try_push(T item) {
+    return push_or_take(std::move(item), nullptr,
+                        [](const T&) { return false; });
+  }
+
+  /// try_push(), except that an idle queue hands the item to the caller:
+  /// when nothing is queued, the gate is open, *in_flight is 0 and
+  /// `takeable(item)` holds (evaluated under the queue lock), the item is
+  /// popped at once and kTaken returned. The pop runs the DRR core, so the
+  /// pop and round listeners see exactly what pop_batch() would have made
+  /// of it, and *in_flight is incremented under the lock, the fence
+  /// pop_batch() gives. The caller then owns the popped work, as a
+  /// consumer owns a batch. A null `in_flight` never takes.
+  template <typename Takeable>
+  PushResult push_or_take(T item, std::atomic<int>* in_flight,
+                          const Takeable& takeable) {
     std::lock_guard<std::mutex> lk(mu_);
     if (closed_) return PushResult::kClosed;
+    if (in_flight != nullptr && total_ == 0 && !gated() &&
+        in_flight->load(std::memory_order_acquire) == 0 && takeable(item)) {
+      enqueue_locked(std::move(item));
+      (void)pop_one_locked();
+      in_flight->fetch_add(1, std::memory_order_acq_rel);
+      return PushResult::kTaken;
+    }
     if (total_ >= capacity_) return PushResult::kFull;
     enqueue_locked(std::move(item));
+    if (on_size_change_) on_size_change_(total_);
     not_empty_.notify_one();
     return PushResult::kOk;
   }
@@ -191,7 +217,6 @@ class DrrQueue {
     if (sub.items.empty()) ring_.push_back(tenant);
     sub.items.push_back(std::move(item));
     ++total_;
-    if (on_size_change_) on_size_change_(total_);
   }
 
   /// The DRR core. Invariants: a tenant is in `ring_` iff its sub-queue

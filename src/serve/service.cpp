@@ -31,6 +31,19 @@ constexpr std::uint64_t kLeaseSeedDomain = ~std::uint64_t{0};
 /// lease and shard domains above).
 constexpr std::uint64_t kBackoffJitterDomain = ~std::uint64_t{0} - 1;
 
+/// Largest fill an idle service serves on the submitting thread
+/// (docs/SERVING.md §4). At walk length 32 a 256-word single-walk pass
+/// holds the caller, for a wire fill the NetServer loop, for ~80 µs.
+constexpr std::size_t kInPlaceMaxWords = 256;
+
+/// Each popped request retires once, as soon as its serving thread is
+/// done with it, so a successor of its session popped by another worker
+/// waits no longer (RngService::serve_batch).
+void retire(const detail::Request& req) {
+  req.session->retired.fetch_add(1, std::memory_order_release);
+  req.session->retired.notify_all();
+}
+
 /// Monotonic nanoseconds for the tenant admission clock (token-bucket
 /// refill timestamps; docs/QOS.md §3).
 std::int64_t to_ns(std::chrono::steady_clock::time_point t) {
@@ -54,6 +67,7 @@ constexpr const char* kEventInstruments[] = {
     "hprng.serve.batches",
     "hprng.serve.retry.attempts",
     "hprng.serve.retry.failovers",
+    "hprng.serve.fills_in_place",
 };
 
 }  // namespace
@@ -329,8 +343,21 @@ RngService::RequestPtr RngService::submit(
 
   // The one overload rule (docs/SERVING.md §4): a full queue rejects at
   // once. Admission never waits, so no caller — least of all the wire
-  // front-end's poll loop — can stall here.
-  switch (queue_.try_push(req)) {
+  // front-end's poll loop — can stall here. An idle service takes a small
+  // fill of a session it has served before and serves it right here, as a
+  // batch of one: with nothing queued and nothing in flight, every request
+  // the session ever popped has retired, so its stream order holds.
+  const bool small = out.size() <= kInPlaceMaxWords;
+  switch (queue_.push_or_take(req, &serving_, [small](const RequestPtr& r) {
+    return small && r->session->popped > 0;  // popped: under the queue lock
+  })) {
+    case DrrQueue<RequestPtr>::PushResult::kTaken: {
+      count(kServedInPlace);
+      std::vector<RequestPtr> batch{req};
+      serve_batch(batch);
+      finish_batch(batch);
+      break;
+    }
     case DrrQueue<RequestPtr>::PushResult::kOk:
       break;  // queued; a worker (or the waiter's timeout) settles it
     case DrrQueue<RequestPtr>::PushResult::kFull:
@@ -413,30 +440,37 @@ void RngService::count(std::size_t event, std::uint64_t n) {
 
 void RngService::worker_loop() {
   std::vector<RequestPtr> batch;
-  while (true) {
-    batch.clear();
-    const std::size_t n = queue_.pop_batch(&batch, opts_.max_coalesce,
-                                           &serving_);
-    if (n == 0) break;  // closed and drained
-    serve_batch(batch);
-    batch.clear();  // drop session refs outside all shard locks
-    serving_.fetch_sub(1, std::memory_order_acq_rel);
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
+  // pop_batch returns 0 once the queue is closed and drained.
+  while (queue_.pop_batch(&batch, opts_.max_coalesce, &serving_) > 0) {
+    if (opts_.injector != nullptr) {
+      // kWorker: a slow worker. Wall-clock perturbation only — a "failed"
+      // worker is indistinguishable from a slow one, so kFail is ignored.
+      // A fill served in place runs on no worker and consults no kWorker.
+      const fault::Outcome o =
+          opts_.injector->on_event(fault::Site::kWorker, 0);
+      sleep_seconds(o.delay_seconds);
     }
-    state_cv_.notify_all();
+    serve_batch(batch);
+    finish_batch(batch);
   }
 }
 
-void RngService::serve_batch(std::vector<RequestPtr>& batch) {
-  if (opts_.injector != nullptr) {
-    // kWorker: a slow worker. Wall-clock perturbation only — a "failed"
-    // worker is indistinguishable from a slow one, so kFail is ignored.
-    const fault::Outcome o =
-        opts_.injector->on_event(fault::Site::kWorker, 0);
-    sleep_seconds(o.delay_seconds);
+void RngService::finish_batch(std::vector<RequestPtr>& batch) {
+  batch.clear();  // drop session refs outside all shard locks
+  serving_.fetch_sub(1, std::memory_order_acq_rel);
+  {
+    std::lock_guard<std::mutex> lk(state_mu_);
   }
+  state_cv_.notify_all();
+}
 
+void RngService::finish(const RequestPtr& req, Status status) {
+  retire(*req);
+  req->session.reset();
+  settle(req, status);
+}
+
+void RngService::serve_batch(std::vector<RequestPtr>& batch) {
   // Serve order across workers: one session's pipelined requests can sit
   // in two workers' batches at once. Touch none of them until every
   // request of the session popped ahead of this batch has retired. Waits
@@ -454,12 +488,6 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
       session.retired.wait(r, std::memory_order_acquire);
     }
   }
-  // Each popped request retires once, as soon as this worker is done with
-  // it, so a successor popped by another worker waits no longer.
-  const auto retire = [](const RequestPtr& req) {
-    req->session->retired.fetch_add(1, std::memory_order_release);
-    req->session->retired.notify_all();
-  };
 
   // One clock read for the whole claim sweep: every expiry decision in
   // this batch uses the same sample, so a slow sweep (TSan, a preempted
@@ -476,16 +504,19 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
       if (req->phase.compare_exchange_strong(expected,
                                              detail::Request::kAbandoned,
                                              std::memory_order_acq_rel)) {
-        settle(req, Status::kShed);
+        finish(req, Status::kShed);
+      } else {
+        retire(*req);
       }
-      retire(req);
       continue;
     }
     if (!req->phase.compare_exchange_strong(expected,
                                             detail::Request::kClaimed,
                                             std::memory_order_acq_rel)) {
-      retire(req);
-      continue;  // abandoned by its waiter — the span is off limits
+      // Abandoned by its waiter: the span is off limits, and the waiter
+      // may be reading `session` to settle it, so leave that alone too.
+      retire(*req);
+      continue;
     }
     int shard = 0;
     {
@@ -497,7 +528,6 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
 
   for (std::size_t s = 0; s < by_shard.size(); ++s) {
     serve_shard_group(s, by_shard[s]);
-    for (const RequestPtr& req : by_shard[s]) retire(req);
   }
 }
 
@@ -513,6 +543,7 @@ void RngService::serve_shard_group(std::size_t s,
     std::vector<RequestPtr> reqs;
   };
   std::vector<Pass> passes;
+  std::vector<RequestPtr> served;     ///< settled kOk once the lock is off
   std::vector<RequestPtr> displaced;  ///< claimed but not served here
   for (RequestPtr& req : group) {
     std::uint64_t slot = 0;
@@ -604,31 +635,32 @@ void RngService::serve_shard_group(std::size_t s,
           ins_.queue_wait_seconds->observe(
               seconds(wall_start - req->submit_time));
         }
-        settle(req, Status::kOk);
+        served.push_back(std::move(req));
       }
     }
   }  // shard lock released before touching session/lease state
 
+  // Settling may send a reply after which the client drops the lease, and
+  // finish() may drop the last session reference, which takes the shard
+  // lock: so both happen here, after it is released.
+  for (const RequestPtr& req : served) finish(req, Status::kOk);
   if (displaced.empty()) return;
   // Re-route the displaced tail: move sessions off an ejected shard, then
   // hand the requests back to the queue head in one step, in their
   // original order, which keeps multi-request sessions' streams
-  // sequential.
+  // sequential. They retire only once they are back in the queue.
   std::vector<RequestPtr> requeue;
   requeue.reserve(displaced.size());
   for (RequestPtr& req : displaced) {
     if (!failover_session(req->session)) {
-      settle(req, Status::kFailed);
+      finish(req, Status::kFailed);
       continue;
     }
-    int expected = detail::Request::kClaimed;
-    if (req->phase.compare_exchange_strong(expected,
-                                           detail::Request::kPending,
-                                           std::memory_order_acq_rel)) {
-      requeue.push_back(req);
-    }
+    req->phase.store(detail::Request::kPending, std::memory_order_release);
+    requeue.push_back(req);
   }
-  queue_.requeue_front(std::move(requeue));
+  queue_.requeue_front(requeue);
+  for (const RequestPtr& req : requeue) retire(*req);
 }
 
 void RngService::record_shard_failure(std::size_t s) {
@@ -718,8 +750,9 @@ void RngService::backoff(int attempt) {
 void RngService::pause() {
   paused_.store(true, std::memory_order_release);
   queue_.wake();
-  // Wait until in-flight batches finish; afterwards workers are parked and
-  // the queue contents are frozen.
+  // Wait until in-flight batches, in-place serves included, finish;
+  // afterwards workers are parked, nothing is taken in place and the
+  // queue contents are frozen.
   std::unique_lock<std::mutex> lk(state_mu_);
   state_cv_.wait(lk, [&] {
     return serving_.load(std::memory_order_acquire) == 0;
@@ -735,8 +768,9 @@ void RngService::drain() {
   HPRNG_CHECK(!paused_.load(std::memory_order_acquire),
               "RngService::drain: resume() first");
   std::unique_lock<std::mutex> lk(state_mu_);
-  // pop_batch increments serving_ under the queue lock, so size() == 0
-  // with serving_ == 0 really means nothing is queued OR in flight. The
+  // pop_batch and an in-place take increment serving_ under the queue
+  // lock, so size() == 0 with serving_ == 0 really means nothing is
+  // queued OR in flight. The
   // bounded wait keeps this robust against wakeups raced away by a pop.
   while (queue_.size() != 0 ||
          serving_.load(std::memory_order_acquire) != 0) {
@@ -762,6 +796,7 @@ RngService::Stats RngService::stats() const {
   s.batches = at(kBatches);
   s.retries = at(kRetries);
   s.failovers = at(kFailovers);
+  s.served_in_place = at(kServedInPlace);
   s.shards_ejected = static_cast<std::uint64_t>(
       ejected_count_.load(std::memory_order_acquire));
   s.queue_depth = queue_.size();

@@ -11,7 +11,9 @@
 // the hybrid backend that is a single FEED/TRANSFER/GENERATE pipeline
 // pass (HybridPrng::fill_leased), which is the whole point: many small
 // client requests amortise one device round, exactly like the paper's
-// batched generation amortises kernel launches.
+// batched generation amortises kernel launches. An idle service serves
+// a small fill of a session it has served before on the submitting
+// thread instead, as a batch of one (docs/SERVING.md §4).
 //
 // Every request reaches exactly one terminal Status. The request state is
 // heap-shared between the waiting client and the serving worker, with an
@@ -69,7 +71,11 @@ struct Request {
   /// (the caller's buffer may be gone).
   enum Phase : int { kPending = 0, kClaimed, kAbandoned };
 
-  std::shared_ptr<struct SessionState> session;  ///< lease keepalive
+  /// Keeps the lease alive while the request is pending. Whoever serves
+  /// it drops this reference just before settling it, so a client that
+  /// drops its handles once the fill is answered gets the lease back at
+  /// once.
+  std::shared_ptr<struct SessionState> session;
   std::span<std::uint64_t> out;
   std::chrono::steady_clock::time_point submit_time;
   std::chrono::steady_clock::time_point deadline;
@@ -101,8 +107,8 @@ struct SessionState {
   std::uint64_t tenant = 0;  ///< immutable after open/adopt
   /// Serve order across workers (docs/SERVING.md §4): the queue numbers
   /// this session's requests as it hands them out (`popped`, guarded by
-  /// the queue lock), and each worker retires its batch's requests when
-  /// the batch is done. A worker touches a request only once every
+  /// the queue lock), and the serving thread retires each request once
+  /// it is done with it. A worker touches a request only once every
   /// request of the session popped before its batch has retired.
   std::uint64_t popped = 0;
   std::atomic<std::uint64_t> retired{0};
@@ -152,13 +158,16 @@ class Session {
   Status fill(std::span<std::uint64_t> out,
               std::chrono::nanoseconds timeout = {});
 
-  /// Asynchronous fill: returns immediately; `out` must stay valid until
-  /// the request settles (Ticket::wait() returns, or `on_settle` runs).
-  /// A non-empty `on_settle` runs exactly once with the terminal status,
-  /// after wait() can observe it, on whichever thread settles the
-  /// request: a worker holding its shard's mutex, a caller of wait() or
-  /// abandon(), or this caller before fill_async returns (an immediate
-  /// rejection). It must not block or call into this service.
+  /// Asynchronous fill: never waits for a worker; `out` must stay valid
+  /// until the request settles (Ticket::wait() returns, or `on_settle`
+  /// runs). An idle service serves a small fill of a session it has
+  /// served before on this thread, before fill_async returns
+  /// (docs/SERVING.md §4). A non-empty `on_settle` runs exactly once with
+  /// the terminal status, after wait() can observe it, on whichever
+  /// thread settles the request: a worker (holding no shard mutex), a
+  /// caller of wait() or abandon(), or this caller before fill_async
+  /// returns (a fill served in place, or an immediate rejection). It must
+  /// not block or call into this service.
   Ticket fill_async(std::span<std::uint64_t> out,
                     std::chrono::nanoseconds timeout = {},
                     std::function<void(Status)> on_settle = {});
@@ -232,6 +241,9 @@ class RngService {
     std::uint64_t batches = 0;       ///< backend fill passes (successful)
     std::uint64_t retries = 0;       ///< extra fill attempts after failures
     std::uint64_t failovers = 0;     ///< leases moved off ejected shards
+    /// Fills an idle service took to serve on the submitting thread
+    /// (docs/SERVING.md §4); a failed in-place pass requeues its fill.
+    std::uint64_t served_in_place = 0;
     std::uint64_t shards_ejected = 0;
     std::size_t queue_depth = 0;
     std::uint64_t active_leases = 0;
@@ -272,10 +284,11 @@ class RngService {
 
   // -- Maintenance / test fences -------------------------------------------
 
-  /// Park the workers: in-flight batches finish (pause blocks until they
-  /// have), then no further requests are popped until resume(). Queued
-  /// requests stay queued — this is the fence at which queue accounting
-  /// is exact and controllable.
+  /// Park the workers: in-flight batches, fills served in place included,
+  /// finish (pause blocks until they have), then no further requests are
+  /// popped or served in place until resume(). Queued requests stay
+  /// queued — this is the fence at which queue accounting is exact and
+  /// controllable.
   void pause();
 
   /// Reopen the worker gate.
@@ -389,6 +402,7 @@ class RngService {
     kBatches,
     kRetries,
     kFailovers,
+    kServedInPlace,
     kNumEvents,
   };
 
@@ -451,10 +465,21 @@ class RngService {
   void count(std::size_t event, std::uint64_t n = 1);
   void release_lease(const Lease& lease);
   void worker_loop();
+  /// Serve popped requests: wait out the session order, claim, then one
+  /// serve_shard_group per shard. A worker's batch, or a fill taken in
+  /// place by submit() as a batch of one.
   void serve_batch(std::vector<RequestPtr>& batch);
+  /// After serve_batch: drop the batch's references and lower serving_,
+  /// waking pause() and drain().
+  void finish_batch(std::vector<RequestPtr>& batch);
+  /// Retire a popped request, drop its session reference and settle it.
+  /// Never under a shard mutex: the dropped reference may be the last,
+  /// and releasing the lease takes the shard's mutex.
+  void finish(const RequestPtr& req, Status status);
   /// Serve one shard's claimed requests: split into unique-slot passes,
   /// fill each with bounded retry + backoff, and on a persistent failure
-  /// displace the unserved tail (failover / requeue / kFailed).
+  /// displace the unserved tail (failover / requeue / kFailed). Retires
+  /// every request of the group; settles once the shard mutex is off.
   void serve_shard_group(std::size_t s, std::vector<RequestPtr>& group);
   /// Mark one failed pass on shard `s` (ejecting it at the threshold).
   void record_shard_failure(std::size_t s);
@@ -487,7 +512,8 @@ class RngService {
 
   std::array<std::atomic<std::uint64_t>, kNumEvents> counts_{};  ///< by Event
 
-  std::atomic<int> serving_{0};  ///< workers with a popped, unfinished batch
+  /// Popped, unfinished batches: workers' and fills served in place.
+  std::atomic<int> serving_{0};
   std::mutex state_mu_;
   std::condition_variable state_cv_;
 

@@ -1,13 +1,17 @@
 // Tests for hprng::fault (docs/FAULTS.md): plan text round-trips, the
 // Injector's deterministic per-(site, target) event ordinals, and the
-// instrumented hook sites — sim::Device transfers, host::BitFeeder fills
-// and the HybridPrng serve-path feed. The load-bearing property throughout
+// instrumented hook sites — sim::Device transfers, host::BitFeeder fills,
+// the HybridPrng serve-path feed and a failed pass of a fill the service
+// serves on its caller's thread. The load-bearing property throughout
 // is replayability: a failed operation leaves its subsystem exactly where
 // it was, so a retry reproduces bit-identical output (the contract the
 // serving layer's failover story rests on).
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include "fault/fault.hpp"
 #include "host/bit_feeder.hpp"
 #include "obs/metrics.hpp"
+#include "serve/service.hpp"
 #include "sim/buffer.hpp"
 #include "sim/device.hpp"
 
@@ -381,6 +386,74 @@ TEST(HybridPrngFaults, InjectedDelayChargesSimTimeWithoutChangingWords) {
   ASSERT_TRUE(fill.ok) << "a delay is not a failure";
   EXPECT_EQ(out, ref_out);
   EXPECT_GE(fill.sim_seconds, ref_fill.sim_seconds + 0.12);
+}
+
+// ------------------------------------------- serve::RngService in place
+
+/// Two 16-word fills of one session pinned to shard 0 on an idle service:
+/// the first queues (a session's first fill always does), the second is
+/// served on this thread. Returns both fills' words; `*second_on_caller`
+/// says where the second fill settled.
+std::vector<std::uint64_t> two_fills(fault::Injector* injector,
+                                     bool* second_on_caller,
+                                     serve::RngService::Stats* stats) {
+  serve::ServiceOptions opts;
+  opts.backend = "hybrid";
+  opts.num_shards = 2;
+  opts.max_leases_per_shard = 4;
+  opts.walk_len = 8;
+  opts.max_fill_retries = 1;
+  opts.retry_backoff_base_ms = 0.05;
+  opts.retry_backoff_max_ms = 0.5;
+  opts.injector = injector;
+  serve::RngService service(opts);
+  auto session = service.try_open_session(/*shard_key=*/0);
+  EXPECT_TRUE(session.has_value());
+  if (!session.has_value()) return {};
+
+  std::vector<std::uint64_t> words(32);
+  const std::span<std::uint64_t> all(words);
+  EXPECT_EQ(session->fill(all.first(16)), serve::Status::kOk);
+  service.drain();
+  std::atomic<bool> on_caller{false};
+  const std::thread::id caller = std::this_thread::get_id();
+  serve::Ticket ticket = session->fill_async(
+      all.last(16), std::chrono::seconds(10), [&](serve::Status) {
+        on_caller.store(std::this_thread::get_id() == caller);
+      });
+  EXPECT_EQ(ticket.wait(), serve::Status::kOk);
+  service.drain();  // a worker's settle hook has returned
+  *second_on_caller = on_caller.load();
+  *stats = service.stats();
+  return words;
+}
+
+TEST(ServeFaults, FailedInPlacePassFallsBackToTheQueue) {
+  bool on_caller = false;
+  serve::RngService::Stats clean_stats;
+  const std::vector<std::uint64_t> clean =
+      two_fills(nullptr, &on_caller, &clean_stats);
+  EXPECT_TRUE(on_caller) << "the clean second fill was not in place";
+  EXPECT_EQ(clean_stats.retries, 0u);
+
+  // Shard 0's dispatches 1 and 2 (the in-place pass and its one retry)
+  // drop: the pass fails for good and the fill is requeued to a worker.
+  FaultPlan plan;
+  plan.add({Site::kShardFill, 0, 1, 2, Action::kFail, 0.0});
+  Injector injector(plan);
+  serve::RngService::Stats stats;
+  const std::vector<std::uint64_t> words =
+      two_fills(&injector, &on_caller, &stats);
+  EXPECT_FALSE(on_caller) << "the requeued fill settled on the caller";
+  EXPECT_EQ(words, clean) << "the retried fill changed the stream";
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(injector.events(Site::kShardFill, 0), 4u);
+  // Two worker batches (the first fill and the requeued second); the
+  // in-place attempt consults no worker site.
+  EXPECT_EQ(injector.events(Site::kWorker, 0), 2u);
 }
 
 }  // namespace

@@ -136,6 +136,37 @@ TEST(NetService, PipelinedFillsPreserveStreamOrder) {
   EXPECT_EQ(wire, local);
 }
 
+// Sequential small fills on an idle service: every fill but the lease's
+// first is served on the loop thread itself (docs/NETWORK.md §5), and the
+// words still match an in-process reference.
+TEST(NetService, SequentialSmallFillsAfterTheFirstAreServedInPlace) {
+  serve::RngService service(small_options());
+  serve::RngService reference(small_options());
+  const std::string ep = unique_unix_endpoint();
+  net::NetServer server(service, {.listen = {ep}});
+  ASSERT_TRUE(server.ok()) << server.error();
+
+  net::NetClient client(client_options(ep));
+  std::string err;
+  const auto lease = client.lease(&err);
+  ASSERT_TRUE(lease.has_value()) << err;
+  auto ref_session = reference.try_open_session();
+  ASSERT_TRUE(ref_session.has_value());
+
+  constexpr int kFills = 8;
+  for (int i = 0; i < kFills; ++i) {
+    std::vector<std::uint64_t> wire(16);
+    std::vector<std::uint64_t> local(16);
+    ASSERT_EQ(client.fill(*lease, wire, &err), serve::Status::kOk) << err;
+    ASSERT_EQ(ref_session->fill(local), serve::Status::kOk);
+    EXPECT_EQ(wire, local) << "fill " << i;
+    service.drain();  // the next fill finds the service idle
+  }
+  EXPECT_EQ(service.stats().served_in_place,
+            static_cast<std::uint64_t>(kFills - 1));
+  EXPECT_EQ(server.stats().fills_ok, static_cast<std::uint64_t>(kFills));
+}
+
 TEST(NetService, BackpressureWindowShedsWithExplicitReply) {
   serve::RngService service(small_options());
   const std::string ep = unique_unix_endpoint();

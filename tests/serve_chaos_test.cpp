@@ -207,9 +207,11 @@ TEST(ServeChaos, WorkerDelaysOnlyPerturbWallClock) {
   auto opts = chaos_options("cpu-walk");
   opts.injector = &injector;
   serve::RngService service(opts);
-  serve::Session session = service.open_session();
   std::vector<std::uint64_t> buf(32);
   for (int f = 0; f < 6; ++f) {
+    // A session's first fill always queues, so each fill here is a worker
+    // batch: a fill served in place runs on no worker.
+    serve::Session session = service.open_session();
     ASSERT_EQ(session.fill(buf, 10s), serve::Status::kOk);
   }
   EXPECT_GE(injector.events(fault::Site::kWorker, 0), 4u);

@@ -10,12 +10,14 @@
 // keeps serving, checkpoint-under-chaos replays deterministically from
 // HPRNG_CHAOS_SEED, and the background checkpointer ticks.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -355,6 +357,82 @@ TEST(CheckpointDuringTraffic, QuiescesAndResumesAroundLiveFills) {
   ASSERT_TRUE(service.checkpoint(path, &error)) << error;
   run_traffic(sessions, 1, 64, &streams);
   EXPECT_TRUE(state::Snapshot::read_file(path, &error).has_value()) << error;
+  std::remove(path.c_str());
+}
+
+// One thread draws back-to-back 16-word fills, which an idle service serves
+// on that thread, while another checkpoints. pause() must wait for such a
+// fill like for a worker batch: the snapshot then holds the stream exactly
+// after the fills settled by then, and a restore continues it byte-exact.
+TEST(CheckpointDuringTraffic, InPlaceFillsQuiesceAndRestoreByteExact) {
+  constexpr std::size_t kWords = 16;
+  constexpr int kTailFills = 8;
+  const std::string path = tmp_path("in_place.snap");
+  const auto pinned = [](serve::RngService& service) {
+    auto session = service.try_open_session(/*shard_key=*/0);
+    EXPECT_TRUE(session.has_value());
+    return *session;
+  };
+
+  serve::RngService service(small_options("hybrid"));
+  serve::Session session = pinned(service);
+  std::uint64_t settled_at_snapshot = 0;
+  service.set_checkpoint_hook(
+      {{}, [&](state::SnapshotWriter&) {
+         settled_at_snapshot = service.stats().completed;
+       },
+       {}});
+  std::atomic<int> fills{0};
+  std::atomic<bool> failed{false};
+  std::atomic<bool> checkpointed{false};
+  std::vector<std::uint64_t> stream;
+  std::thread filler([&] {
+    // Keep drawing until the checkpoint is done, then a few fills more.
+    for (int after = 0; after < kTailFills; after += checkpointed ? 1 : 0) {
+      std::vector<std::uint64_t> buf(kWords);
+      if (session.fill(buf, 30s) != serve::Status::kOk) {
+        failed = true;
+        return;
+      }
+      stream.insert(stream.end(), buf.begin(), buf.end());
+      fills.fetch_add(1);
+    }
+  });
+  while (fills.load() < 4 && !failed) std::this_thread::yield();
+  std::string error;
+  const bool ok = service.checkpoint(path, &error);
+  checkpointed = true;
+  filler.join();
+  ASSERT_FALSE(failed.load()) << "a live fill failed";
+  ASSERT_TRUE(ok) << error;
+  ASSERT_GE(settled_at_snapshot, 4u);
+
+  // The uninterrupted stream of the same lease.
+  std::vector<std::uint64_t> reference(stream.size() + kTailFills * kWords);
+  {
+    serve::RngService fresh(small_options("hybrid"));
+    serve::Session s = pinned(fresh);
+    ASSERT_EQ(s.fill(reference, 30s), serve::Status::kOk);
+  }
+  EXPECT_TRUE(std::equal(stream.begin(), stream.end(), reference.begin()))
+      << "checkpointing perturbed the live stream";
+
+  auto restored = serve::RngService::restore(path, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  auto adopted = restored->adopt_session(session.lease().id);
+  ASSERT_TRUE(adopted.has_value());
+  std::vector<std::uint64_t> tail(kTailFills * kWords);
+  for (std::size_t f = 0; f < kTailFills; ++f) {
+    ASSERT_EQ(adopted->fill(std::span<std::uint64_t>(tail).subspan(
+                  f * kWords, kWords)),
+              serve::Status::kOk);
+  }
+  const std::size_t at = settled_at_snapshot * kWords;
+  ASSERT_LE(at + tail.size(), reference.size());
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), reference.begin() +
+                                                       static_cast<long>(at)))
+      << "the restored stream does not continue at fill "
+      << settled_at_snapshot;
   std::remove(path.c_str());
 }
 

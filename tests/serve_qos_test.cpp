@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -93,6 +94,49 @@ TEST(DrrQueue, WeightedSharesAreProportionalUnderSaturation) {
   EXPECT_EQ(served[1], 5);
   EXPECT_EQ(served[2], 10);
   EXPECT_EQ(served[3], 20);
+}
+
+// push_or_take() pops an item at once only when the queue is idle and
+// the item is takeable, and that pop is a scheduled pop like any other.
+TEST(DrrQueue, IdleTakeIsAScheduledPopAndAnythingElseQueues) {
+  std::atomic<bool> gate{false};
+  Queue q(
+      8, &gate, [](const Item& i) { return i.tenant; },
+      [](const Item& i) { return i.cost; }, nullptr, 4);
+  std::vector<int> popped;
+  q.set_pop_listener([&](std::uint64_t, const Item& i) {
+    popped.push_back(i.id);
+  });
+  std::atomic<int> in_flight{0};
+  const auto yes = [](const Item&) { return true; };
+  const auto no = [](const Item&) { return false; };
+
+  // Cost 10 at quantum 4 takes three grants, as a pop_batch() would.
+  EXPECT_EQ(q.push_or_take({1, 10, 0}, &in_flight, yes),
+            Queue::PushResult::kTaken);
+  EXPECT_EQ(in_flight.load(), 1);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.rounds(), 3u);
+  EXPECT_EQ(q.push_or_take({1, 1, 1}, &in_flight, yes),
+            Queue::PushResult::kOk) << "a batch is in flight";
+  in_flight = 0;
+  EXPECT_EQ(q.push_or_take({1, 1, 2}, &in_flight, yes),
+            Queue::PushResult::kOk) << "an item is queued";
+  std::vector<Item> out;
+  q.pop_batch(&out, 8);
+  in_flight = 0;
+  EXPECT_EQ(q.push_or_take({1, 1, 3}, &in_flight, no),
+            Queue::PushResult::kOk) << "not takeable";
+  q.pop_batch(&out, 8);
+  gate = true;
+  EXPECT_EQ(q.push_or_take({1, 1, 4}, &in_flight, yes),
+            Queue::PushResult::kOk) << "gated";
+  EXPECT_EQ(in_flight.load(), 0);
+  q.close();
+  EXPECT_EQ(q.push_or_take({1, 1, 5}, &in_flight, yes),
+            Queue::PushResult::kClosed);
+  EXPECT_EQ(popped, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(q.size(), 1u);
 }
 
 // A fixed pre-enqueued trace must be served in one global order no matter
@@ -353,6 +397,50 @@ TEST(TenantQos, DrrServiceOrderIsWorkerCountInvariant) {
   ASSERT_EQ(reference.size(), 30u);
   EXPECT_EQ(run(3), reference);
   EXPECT_EQ(run(8), reference);
+}
+
+// Fills an idle service serves on the caller's thread (docs/SERVING.md §4)
+// still count as scheduled pops: the observer sees each one, in
+// submission order.
+TEST(TenantQos, DrrObserverSeesInPlaceFillsInSubmissionOrder) {
+  using TracePoint = std::pair<std::uint64_t, std::size_t>;
+  serve::RngService service(qos_options());
+  std::vector<serve::Session> sessions;
+  for (std::uint64_t t = 1; t <= 3; ++t) {
+    serve::RngService::SessionSpec spec;
+    spec.tenant = t;
+    auto s = service.try_open_session(spec);
+    ASSERT_TRUE(s.has_value());
+    // A session's first fill always queues; the fills below do not.
+    std::vector<std::uint64_t> first(8);
+    ASSERT_EQ(s->fill(first), serve::Status::kOk);
+    sessions.push_back(*s);
+  }
+  service.drain();
+
+  std::mutex mu;
+  std::vector<TracePoint> order;
+  service.set_drr_observer([&](std::uint64_t tenant, std::size_t words) {
+    std::lock_guard<std::mutex> lk(mu);
+    order.emplace_back(tenant, words);
+  });
+  std::vector<TracePoint> submitted;
+  for (int i = 0; i < 12; ++i) {
+    const std::size_t s = static_cast<std::size_t>(i % 3);
+    std::vector<std::uint64_t> buf(9 + static_cast<std::size_t>(i));
+    std::atomic<bool> on_caller{false};
+    const std::thread::id caller = std::this_thread::get_id();
+    serve::Ticket ticket =
+        sessions[s].fill_async(buf, 10s, [&](serve::Status) {
+          on_caller.store(std::this_thread::get_id() == caller);
+        });
+    EXPECT_TRUE(on_caller.load()) << "fill " << i << " was not in place";
+    ASSERT_EQ(ticket.wait(), serve::Status::kOk);
+    service.drain();  // a queued fill's hook may still be running
+    submitted.emplace_back(sessions[s].tenant(), buf.size());
+  }
+  std::lock_guard<std::mutex> lk(mu);
+  EXPECT_EQ(order, submitted);
 }
 
 TEST(TenantQos, TenqSectionRoundTripsThroughCheckpointRestore) {

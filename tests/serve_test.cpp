@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <thread>
@@ -502,6 +503,145 @@ TEST(ServeCoalescing, SameSessionRequestsAreServedInOrder) {
   EXPECT_EQ(service.stats().batches, 2u);
 }
 
+// ------------------------------------------------------- in-place serving
+
+/// A fill_async settle hook that records the thread it ran on. The hook
+/// runs after wait() can return, so read the thread through settled_on().
+struct SettleThread {
+  std::atomic<bool> ran{false};
+  std::thread::id thread;
+
+  std::function<void(serve::Status)> hook() {
+    return [this](serve::Status) {
+      thread = std::this_thread::get_id();
+      ran.store(true, std::memory_order_release);
+    };
+  }
+  std::thread::id settled_on() const {
+    while (!ran.load(std::memory_order_acquire)) std::this_thread::yield();
+    return thread;
+  }
+};
+
+/// A session that has been served once, on an idle service.
+serve::Session served_session(serve::RngService& service,
+                              std::uint64_t shard_key = 0) {
+  auto session = service.try_open_session(shard_key);
+  EXPECT_TRUE(session.has_value());
+  std::vector<std::uint64_t> first(16);
+  EXPECT_EQ(session->fill(first), serve::Status::kOk);
+  service.drain();
+  return *session;
+}
+
+TEST(ServeInPlace, IdleServiceServesASecondSmallFillOnTheCallersThread) {
+  obs::MetricsRegistry metrics;
+  serve::RngService service(small_options("cpu-walk"), &metrics);
+  serve::Session session = service.open_session();
+  std::vector<std::uint64_t> first(16), second(16);
+  ASSERT_EQ(session.fill(first), serve::Status::kOk);
+  service.drain();  // idle: nothing queued, no batch in flight
+  const auto before = service.stats();
+
+  SettleThread settled;
+  serve::Ticket ticket = session.fill_async(second, 10s, settled.hook());
+  EXPECT_TRUE(settled.ran.load()) << "settled after fill_async returned";
+  EXPECT_EQ(ticket.wait(), serve::Status::kOk);
+  EXPECT_EQ(settled.settled_on(), std::this_thread::get_id());
+
+  const auto after = service.stats();
+  EXPECT_EQ(after.batches, before.batches + 1);
+  EXPECT_EQ(before.served_in_place, 0u);
+  EXPECT_EQ(after.served_in_place, 1u);
+  if (obs::kEnabled) {
+    EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.fills_in_place").value(),
+                     1.0);
+  }
+  // The in-place fill continues the session's stream.
+  core::CpuWalkPrng replay(session.lease().seed,
+                           core::CpuWalkConfig{
+                               .walk_len = service.options().walk_len});
+  for (std::uint64_t v : first) EXPECT_EQ(v, replay.next_u64());
+  for (std::uint64_t v : second) EXPECT_EQ(v, replay.next_u64());
+}
+
+TEST(ServeInPlace, ASessionsFirstFillSettlesOnAWorker) {
+  serve::RngService service(small_options("cpu-walk"));
+  serve::Session session = service.open_session();
+  std::vector<std::uint64_t> buf(16);
+  SettleThread settled;
+  serve::Ticket ticket = session.fill_async(buf, 10s, settled.hook());
+  EXPECT_EQ(ticket.wait(), serve::Status::kOk);
+  EXPECT_NE(settled.settled_on(), std::this_thread::get_id());
+}
+
+TEST(ServeInPlace, AFillOverTheSizeCapSettlesOnAWorker) {
+  serve::RngService service(small_options("cpu-walk"));
+  serve::Session session = served_session(service);
+
+  std::vector<std::uint64_t> at_cap(256);
+  SettleThread in_place;
+  EXPECT_EQ(session.fill_async(at_cap, 10s, in_place.hook()).wait(),
+            serve::Status::kOk);
+  EXPECT_EQ(in_place.settled_on(), std::this_thread::get_id());
+
+  service.drain();
+  std::vector<std::uint64_t> over_cap(257);
+  SettleThread queued;
+  EXPECT_EQ(session.fill_async(over_cap, 10s, queued.hook()).wait(),
+            serve::Status::kOk);
+  EXPECT_NE(queued.settled_on(), std::this_thread::get_id());
+}
+
+TEST(ServeInPlace, AFillSubmittedWhilePausedSettlesOnAWorker) {
+  serve::RngService service(small_options("cpu-walk"));
+  serve::Session session = served_session(service);
+
+  service.pause();
+  std::vector<std::uint64_t> buf(16);
+  SettleThread settled;
+  serve::Ticket ticket = session.fill_async(buf, 10s, settled.hook());
+  EXPECT_EQ(service.stats().queue_depth, 1u);
+  EXPECT_FALSE(settled.ran.load());
+  service.resume();
+  EXPECT_EQ(ticket.wait(), serve::Status::kOk);
+  EXPECT_NE(settled.settled_on(), std::this_thread::get_id());
+}
+
+TEST(ServeInPlace, AFillSubmittedBesideAnotherSessionsBatchSettlesOnAWorker) {
+  auto opts = small_options("cpu-walk");
+  opts.num_workers = 2;
+  serve::RngService service(opts);
+  serve::Session session = served_session(service, /*shard_key=*/0);
+  auto other = service.try_open_session(/*shard_key=*/1);
+  ASSERT_TRUE(other.has_value());
+
+  // The other session's first fill is a worker batch; its hook holds the
+  // batch in flight until released.
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::vector<std::uint64_t> other_buf(16);
+  serve::Ticket held =
+      other->fill_async(other_buf, 10s, [&](serve::Status) {
+        entered.store(true);
+        for (int i = 0; i < 10000 && !release.load(); ++i) {
+          std::this_thread::sleep_for(1ms);
+        }
+      });
+  for (int i = 0; i < 10000 && !entered.load(); ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(entered.load()) << "the other session's fill never settled";
+
+  std::vector<std::uint64_t> buf(16);
+  SettleThread settled;
+  serve::Ticket ticket = session.fill_async(buf, 10s, settled.hook());
+  EXPECT_EQ(ticket.wait(), serve::Status::kOk);
+  EXPECT_NE(settled.settled_on(), std::this_thread::get_id());
+  release.store(true);
+  EXPECT_EQ(held.wait(), serve::Status::kOk);
+}
+
 // ----------------------------------------------------- lease lifecycle
 
 TEST(ServeLeases, ReclaimedSlotServesAFreshStream) {
@@ -515,11 +655,10 @@ TEST(ServeLeases, ReclaimedSlotServesAFreshStream) {
     ASSERT_TRUE(session.has_value());
     first_lease = session->lease();
     ASSERT_EQ(session->fill(first), serve::Status::kOk);
-  }  // client handle gone; the lease returns once the worker drops its ref
-  // The serving worker's batch reference can briefly outlive the client's
-  // fill() return; drain() fences until it is dropped, so the slot below
-  // is deterministically the reclaimed one.
-  service.drain();
+  }  // client handle gone: the lease returns with it
+  // A served request drops its session reference before it settles, so
+  // no fence is needed: the slot below is deterministically the
+  // reclaimed one.
 
   auto session = service.try_open_session(/*shard_key=*/1);
   ASSERT_TRUE(session.has_value());
@@ -534,6 +673,30 @@ TEST(ServeLeases, ReclaimedSlotServesAFreshStream) {
   for (std::uint64_t v : second) {
     EXPECT_EQ(overlap.count(v), 0u) << "reclaimed slot replayed old stream";
   }
+}
+
+// A settled fill no longer pins its lease, even while the worker that
+// served it is still inside the settle hook: a client that drops its
+// handles once wait() returns gets the lease back at once.
+TEST(ServeLeases, SettledFillStopsPinningItsLeaseWhileItsHookRuns) {
+  serve::RngService service(small_options("cpu-walk"));
+  std::atomic<bool> release{false};
+  {
+    serve::Session session = service.open_session();
+    std::vector<std::uint64_t> buf(16);
+    // A session's first fill is queued, so a worker runs this hook.
+    serve::Ticket ticket = session.fill_async(buf, 10s, [&](serve::Status) {
+      for (int i = 0; i < 10000 && !release.load(); ++i) {
+        std::this_thread::sleep_for(1ms);
+      }
+    });
+    ASSERT_EQ(ticket.wait(), serve::Status::kOk);
+  }  // the Session and the Ticket go while the hook still blocks
+  EXPECT_EQ(service.stats().active_leases, 0u)
+      << "the serving worker still pins the lease";
+  release.store(true);
+  service.drain();
+  EXPECT_EQ(service.stats().active_leases, 0u);
 }
 
 TEST(ServeLeases, GrantReleaseHammerStaysConsistent) {
