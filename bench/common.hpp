@@ -129,11 +129,6 @@ inline bool export_metrics_json(const util::Cli& cli,
                                 const obs::MetricsRegistry& registry) {
   const std::string path = cli.get_string("metrics-json", "");
   if (path.empty()) return false;
-  if (!obs::kEnabled) {
-    std::printf("metrics-json: observability disabled "
-                "(rebuild with -DHPRNG_ENABLE_OBS=ON)\n");
-    return false;
-  }
   if (!registry.write_json(path)) {
     std::fprintf(stderr, "metrics-json: cannot write %s\n", path.c_str());
     return false;
@@ -148,11 +143,6 @@ inline bool export_trace_json(const util::Cli& cli,
                               const obs::TraceWriter& trace) {
   const std::string path = cli.get_string("trace-json", "");
   if (path.empty()) return false;
-  if (!obs::kEnabled) {
-    std::printf("trace-json: observability disabled "
-                "(rebuild with -DHPRNG_ENABLE_OBS=ON)\n");
-    return false;
-  }
   if (!trace.write_json(path)) {
     std::fprintf(stderr, "trace-json: cannot write %s\n", path.c_str());
     return false;

@@ -149,13 +149,9 @@ int main(int argc, char** argv) {
               "%.3g numbers/wall-second (functional execution)\n",
               sim_numbers_per_s, wall_numbers_per_s);
 
-  bool metrics_agree = true;
-  if (obs::kEnabled) {
-    metrics_agree = max_busy_disagreement <= 1e-9;
-    std::printf("metrics vs timeline busy fractions: max |delta| = %.3g "
-                "[%s]\n",
-                max_busy_disagreement, metrics_agree ? "OK" : "MISMATCH");
-  }
+  const bool metrics_agree = max_busy_disagreement <= 1e-9;
+  std::printf("metrics vs timeline busy fractions: max |delta| = %.3g [%s]\n",
+              max_busy_disagreement, metrics_agree ? "OK" : "MISMATCH");
   bench::export_metrics_json(cli, metrics);
 
   const bool shape = hybrid_always_fastest && mean_ratio > 1.3 &&

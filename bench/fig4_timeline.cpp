@@ -86,31 +86,22 @@ int main(int argc, char** argv) {
               "G = GENERATE):\n%s",
               tl.render_ascii(mid, mid + window, 96).c_str());
 
-  if (obs::kEnabled) {
-    // Pipeline-stall picture from the metrics registry: how often a stage
-    // waited, and how much virtual time each resource lost to waiting.
-    std::printf("\npipeline stalls (from hprng.core.* / hprng.sim.*):\n");
-    std::printf("  FEED waited for a previous TRANSFER: %.0f of %.0f "
-                "rounds\n",
-                metrics.counter("hprng.core.feed_refill_stalls").value(),
-                metrics.counter("hprng.core.rounds").value());
-    std::printf("  TRANSFER waited for a consumer kernel: %.0f rounds\n",
-                metrics.counter("hprng.core.transfer_consumer_stalls")
-                    .value());
-    for (int r = 0; r < sim::kNumResources; ++r) {
-      const auto res = static_cast<sim::Resource>(r);
-      std::printf("  %-9s idle on dependencies: %8.2f us over %.0f waits\n",
-                  sim::to_string(res),
-                  metrics
-                          .counter(std::string("hprng.sim.dep_stall_seconds.") +
-                                   sim::metric_suffix(res))
-                          .value() *
-                      1e6,
-                  metrics
-                      .counter(std::string("hprng.sim.dep_stalls.") +
-                               sim::metric_suffix(res))
-                      .value());
-    }
+  // Pipeline-stall picture from the metrics registry: how often a stage
+  // waited, and how much virtual time each resource lost to waiting.
+  std::printf("\npipeline stalls (from hprng.core.* / hprng.sim.*):\n");
+  std::printf("  FEED waited for a previous TRANSFER: %.0f of %.0f rounds\n",
+              metrics.counter("hprng.core.feed_refill_stalls").value(),
+              metrics.counter("hprng.core.rounds").value());
+  std::printf("  TRANSFER waited for a consumer kernel: %.0f rounds\n",
+              metrics.counter("hprng.core.transfer_consumer_stalls").value());
+  for (int r = 0; r < sim::kNumResources; ++r) {
+    const auto res = static_cast<sim::Resource>(r);
+    const std::string suffix = sim::metric_suffix(res);
+    std::printf(
+        "  %-9s idle on dependencies: %8.2f us over %.0f waits\n",
+        sim::to_string(res),
+        metrics.counter("hprng.sim.dep_stall_seconds." + suffix).value() * 1e6,
+        metrics.counter("hprng.sim.dep_stalls." + suffix).value());
   }
 
   // Machine-readable exports (--metrics-json / --trace-json).

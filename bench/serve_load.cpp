@@ -1154,21 +1154,18 @@ int main(int argc, char** argv) {
                util::strf("%.2f", static_cast<double>(stats.numbers_served) /
                                       wall_seconds / 1e6)});
   }
-  double lat_p50 = 0.0, lat_p99 = 0.0, lat_max = 0.0, qw_p99 = 0.0;
-  if (obs::kEnabled) {
-    // Latency quantiles from the registry histogram — the same numbers a
-    // dashboard would read (power-of-two buckets: within 2x).
-    const auto& lat = metrics.histogram("hprng.serve.request_latency_seconds");
-    const auto& qw = metrics.histogram("hprng.serve.queue_wait_seconds");
-    lat_p50 = lat.quantile(0.5);
-    lat_p99 = lat.quantile(0.99);
-    lat_max = lat.max();
-    qw_p99 = qw.quantile(0.99);
-    t.add_row({"latency p50 (ms)", bench::ms(lat_p50)});
-    t.add_row({"latency p99 (ms)", bench::ms(lat_p99)});
-    t.add_row({"latency max (ms)", bench::ms(lat_max)});
-    t.add_row({"queue wait p99 (ms)", bench::ms(qw_p99)});
-  }
+  // Latency quantiles from the registry histogram — the same numbers a
+  // dashboard would read (power-of-two buckets: within 2x).
+  const auto& lat = metrics.histogram("hprng.serve.request_latency_seconds");
+  const double lat_p50 = lat.quantile(0.5);
+  const double lat_p99 = lat.quantile(0.99);
+  const double lat_max = lat.max();
+  const double qw_p99 =
+      metrics.histogram("hprng.serve.queue_wait_seconds").quantile(0.99);
+  t.add_row({"latency p50 (ms)", bench::ms(lat_p50)});
+  t.add_row({"latency p99 (ms)", bench::ms(lat_p99)});
+  t.add_row({"latency max (ms)", bench::ms(lat_max)});
+  t.add_row({"queue wait p99 (ms)", bench::ms(qw_p99)});
   if (quality_report.has_value()) {
     const quality::QualityReport& q = *quality_report;
     t.add_row({"scrub tier", util::strf("%d (resting %d)", q.tier,

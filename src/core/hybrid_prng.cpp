@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/calibration.hpp"
+#include "prng/lcg.hpp"
 #include "prng/seed_seq.hpp"
 #include "prng/splitmix64.hpp"
 #include "simd/simd.hpp"
@@ -21,7 +22,7 @@ using expander::WalkState;
 HybridPrng::HybridPrng(sim::Device& device, HybridPrngConfig cfg)
     : device_(device),
       cfg_(cfg),
-      feeder_(device.spec(), cfg.feeder_generator, cfg.seed) {
+      feeder_(device.spec(), prng::GlibcLcg::kName, cfg.seed) {
   HPRNG_CHECK(cfg_.walk_len >= 1, "walk_len must be at least 1");
   HPRNG_CHECK(cfg_.init_walk_len >= 0, "init_walk_len must be >= 0");
 }
@@ -538,7 +539,7 @@ void HybridPrng::save_state(state::SnapshotWriter& writer) const {
   writer.put_u32(static_cast<std::uint32_t>(cfg_.policy));
   writer.put_u32(static_cast<std::uint32_t>(cfg_.mode));
   writer.put_u32(cfg_.finalize_output ? 1 : 0);
-  writer.put_str(cfg_.feeder_generator);
+  writer.put_str(prng::GlibcLcg::kName);
   // Feeder stream position: initialize() of walks beyond the checkpoint
   // consumes feeder words from here, so the position — not just the seed —
   // is load-bearing for post-restore initialisation equivalence.
@@ -569,7 +570,7 @@ bool HybridPrng::load_state(state::SectionReader& reader, std::string* error) {
         policy != static_cast<std::uint32_t>(cfg_.policy) ||
         mode != static_cast<std::uint32_t>(cfg_.mode) ||
         finalize != (cfg_.finalize_output ? 1u : 0u) ||
-        feeder_name != cfg_.feeder_generator) {
+        feeder_name != prng::GlibcLcg::kName) {
       reader.fail("generator config mismatch (snapshot taken under a "
                   "different HybridPrngConfig)");
     }

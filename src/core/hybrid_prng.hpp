@@ -73,12 +73,6 @@ struct HybridPrngConfig {
   /// Schedule: more threads = bigger rounds — every stage's per-round
   /// duration grows, amortising the fixed launch/API overheads.
   std::uint64_t num_threads = 7680;  // 30 SMs x 256 resident threads
-
-  /// Host generator that produces the raw feed bits (paper: glibc LCG).
-  /// Quality dial for the ablations; the FEED *cost model* is
-  /// generator-independent (spec.host_ns_per_random_bit), so swapping it
-  /// changes the stream, not the simulated schedule.
-  std::string feeder_generator = "glibc-lcg";
 };
 // NOTE: configuration changes alter the schedule and the stream; every
 // (policy x mode x walk_len) combination is contract-tested in
@@ -311,6 +305,8 @@ class HybridPrng {
 
   sim::Device& device_;
   HybridPrngConfig cfg_;
+  /// Raw feed bits from the paper's glibc LCG (Sec. III-B). The FEED cost
+  /// model is generator-independent (spec.host_ns_per_random_bit).
   host::BitFeeder feeder_;
   obs::MetricsRegistry* metrics_ = nullptr;
   Instruments ins_;

@@ -39,6 +39,36 @@ serve::Status status_from_err(ErrCode code) {
   }
 }
 
+/// Decode the reply to a kFill: its kFillAck, or the kError the server
+/// sent instead. Only a kOk ack writes `out`.
+serve::Status read_fill_reply(const Frame& reply, std::span<std::uint64_t> out,
+                              std::string* error) {
+  WireReader r(reply.payload);
+  if (reply.op == Op::kError) {
+    const auto code = static_cast<ErrCode>(r.get_u32());
+    set_error(error, std::string(to_string(code)) + ": " + r.get_str());
+    return status_from_err(code);
+  }
+  if (reply.op != Op::kFillAck) {
+    set_error(error, "unexpected reply op");
+    return serve::Status::kFailed;
+  }
+  (void)r.get_u64();  // lease id echo
+  const serve::Status status = status_from_wire(r.get_u32());
+  const std::uint32_t nwords = r.get_u32();
+  if (status != serve::Status::kOk) return status;
+  if (nwords != out.size()) {
+    set_error(error, "fill ack word-count mismatch");
+    return serve::Status::kFailed;
+  }
+  r.get_words(out);
+  if (!r.ok()) {
+    set_error(error, "malformed fill ack");
+    return serve::Status::kFailed;
+  }
+  return serve::Status::kOk;
+}
+
 }  // namespace
 
 NetClient::NetClient(ClientOptions opts) : opts_(std::move(opts)) {
@@ -162,18 +192,8 @@ bool NetClient::readopt_leases(std::string* error) {
   for (const std::uint64_t lease_id : held_) {
     WireWriter w;
     w.put_u64(lease_id);
-    Frame req;
-    req.op = Op::kAdopt;
-    req.request_id = next_request_id_++;
-    req.payload = w.take();
-    if (!send_frame(req)) {
-      set_error(error, "re-adopt send failed");
-      return false;
-    }
     bool timed_out = false;
-    const auto reply =
-        await(req.request_id,
-              std::chrono::steady_clock::now() + opts_.timeout, &timed_out);
+    const auto reply = roundtrip(Op::kAdopt, w.take(), &timed_out);
     if (!reply.has_value() || reply->op != Op::kAdoptAck) {
       set_error(error,
                 "re-adopt of lease " + std::to_string(lease_id) + " failed");
@@ -208,7 +228,7 @@ bool NetClient::ensure_connected(std::string* error) {
       disconnect();
       continue;
     }
-    if (opts_.auto_adopt && !held_.empty() && !readopt_leases(&err)) {
+    if (!readopt_leases(&err)) {
       continue;  // readopt_leases disconnected already
     }
     return true;
@@ -303,62 +323,51 @@ std::optional<Frame> NetClient::roundtrip(Op op, std::string payload,
                timed_out);
 }
 
-std::optional<std::uint64_t> NetClient::lease(std::string* error) {
-  WireWriter w;
-  w.put_u8(0);
-  w.put_u64(0);
-  w.put_u64(opts_.tenant);  // v2 lease payload (docs/NETWORK.md §3.2)
-  std::lock_guard<std::mutex> lk(mu_);
+std::optional<Frame> NetClient::request(Op op, const std::string& payload,
+                                        const char* what, std::string* error,
+                                        bool* timed_out) {
   for (int attempt = 0;; ++attempt) {
     if (!ensure_connected(error)) return std::nullopt;
-    bool timed_out = false;
-    const auto reply = roundtrip(Op::kLease, w.str(), &timed_out);
-    if (!reply.has_value()) {
-      if (!timed_out && attempt < opts_.max_reconnects) {
-        ++stats_.retries;
-        continue;  // connection lost before a reply — safe to re-issue
-      }
-      set_error(error, timed_out ? "lease timed out" : "connection lost");
-      return std::nullopt;
+    auto reply = roundtrip(op, payload, timed_out);
+    if (reply.has_value()) return reply;
+    if (!*timed_out && attempt < opts_.max_reconnects) {
+      // EOF before any reply: the graceful-shutdown contract means the
+      // request was never served, so re-issuing it cannot skip words
+      // (docs/NETWORK.md §6).
+      ++stats_.retries;
+      continue;
     }
-    if (reply->op != Op::kLeaseAck) {
-      WireReader r(reply->payload);
-      const auto code = static_cast<ErrCode>(r.get_u32());
-      set_error(error, std::string(to_string(code)) + ": " + r.get_str());
-      return std::nullopt;
-    }
-    WireReader r(reply->payload);
-    const std::uint64_t id = r.get_u64();
-    if (!r.ok()) {
-      set_error(error, "malformed lease ack");
-      return std::nullopt;
-    }
-    held_.insert(id);
-    return id;
+    set_error(error, *timed_out ? std::string(what) + " timed out"
+                                : std::string("connection lost"));
+    return std::nullopt;
   }
+}
+
+std::optional<std::uint64_t> NetClient::lease(std::string* error) {
+  return open_lease(std::nullopt, error);
 }
 
 std::optional<std::uint64_t> NetClient::lease_on(std::uint64_t shard_key,
                                                  std::string* error) {
+  return open_lease(shard_key, error);
+}
+
+std::optional<std::uint64_t> NetClient::open_lease(
+    std::optional<std::uint64_t> shard_key, std::string* error) {
   WireWriter w;
-  w.put_u8(1);
-  w.put_u64(shard_key);
+  w.put_u8(shard_key.has_value() ? 1 : 0);
+  w.put_u64(shard_key.value_or(0));
   w.put_u64(opts_.tenant);  // v2 lease payload (docs/NETWORK.md §3.2)
   std::lock_guard<std::mutex> lk(mu_);
-  if (!ensure_connected(error)) return std::nullopt;
   bool timed_out = false;
-  const auto reply = roundtrip(Op::kLease, w.str(), &timed_out);
-  if (!reply.has_value()) {
-    set_error(error, timed_out ? "lease timed out" : "connection lost");
-    return std::nullopt;
-  }
+  const auto reply = request(Op::kLease, w.str(), "lease", error, &timed_out);
+  if (!reply.has_value()) return std::nullopt;
+  WireReader r(reply->payload);
   if (reply->op != Op::kLeaseAck) {
-    WireReader r(reply->payload);
     const auto code = static_cast<ErrCode>(r.get_u32());
     set_error(error, std::string(to_string(code)) + ": " + r.get_str());
     return std::nullopt;
   }
-  WireReader r(reply->payload);
   const std::uint64_t id = r.get_u64();
   if (!r.ok()) {
     set_error(error, "malformed lease ack");
@@ -445,51 +454,12 @@ serve::Status NetClient::fill(std::uint64_t lease_id,
   w.put_u32(static_cast<std::uint32_t>(out.size()));
   w.put_u32(0);  // server-default fill timeout
   std::lock_guard<std::mutex> lk(mu_);
-  for (int attempt = 0;; ++attempt) {
-    if (!ensure_connected(error)) return serve::Status::kClosed;
-    bool timed_out = false;
-    const auto reply = roundtrip(Op::kFill, w.str(), &timed_out);
-    if (!reply.has_value()) {
-      if (timed_out) {
-        set_error(error, "fill timed out");
-        return serve::Status::kTimeout;
-      }
-      if (attempt < opts_.max_reconnects) {
-        // EOF before any reply: the graceful-shutdown contract means the
-        // fill was never served, so the retry continues the stream
-        // bit-exactly (docs/NETWORK.md §6).
-        ++stats_.retries;
-        continue;
-      }
-      set_error(error, "connection lost");
-      return serve::Status::kClosed;
-    }
-    if (reply->op == Op::kError) {
-      WireReader r(reply->payload);
-      const auto code = static_cast<ErrCode>(r.get_u32());
-      set_error(error, std::string(to_string(code)) + ": " + r.get_str());
-      return status_from_err(code);
-    }
-    if (reply->op != Op::kFillAck) {
-      set_error(error, "unexpected reply op");
-      return serve::Status::kFailed;
-    }
-    WireReader r(reply->payload);
-    (void)r.get_u64();  // lease id echo
-    const serve::Status status = status_from_wire(r.get_u32());
-    const std::uint32_t nwords = r.get_u32();
-    if (status != serve::Status::kOk) return status;
-    if (nwords != out.size()) {
-      set_error(error, "fill ack word-count mismatch");
-      return serve::Status::kFailed;
-    }
-    r.get_words(out);
-    if (!r.ok()) {
-      set_error(error, "malformed fill ack");
-      return serve::Status::kFailed;
-    }
-    return serve::Status::kOk;
+  bool timed_out = false;
+  const auto reply = request(Op::kFill, w.str(), "fill", error, &timed_out);
+  if (!reply.has_value()) {
+    return timed_out ? serve::Status::kTimeout : serve::Status::kClosed;
   }
+  return read_fill_reply(*reply, out, error);
 }
 
 std::uint64_t NetClient::fill_submit(std::uint64_t lease_id,
@@ -521,31 +491,7 @@ serve::Status NetClient::fill_wait(std::uint64_t request_id,
     set_error(error, timed_out ? "fill timed out" : "connection lost");
     return timed_out ? serve::Status::kTimeout : serve::Status::kClosed;
   }
-  if (reply->op == Op::kError) {
-    WireReader r(reply->payload);
-    const auto code = static_cast<ErrCode>(r.get_u32());
-    set_error(error, std::string(to_string(code)) + ": " + r.get_str());
-    return status_from_err(code);
-  }
-  if (reply->op != Op::kFillAck) {
-    set_error(error, "unexpected reply op");
-    return serve::Status::kFailed;
-  }
-  WireReader r(reply->payload);
-  (void)r.get_u64();
-  const serve::Status status = status_from_wire(r.get_u32());
-  const std::uint32_t nwords = r.get_u32();
-  if (status != serve::Status::kOk) return status;
-  if (nwords != out.size()) {
-    set_error(error, "fill ack word-count mismatch");
-    return serve::Status::kFailed;
-  }
-  r.get_words(out);
-  if (!r.ok()) {
-    set_error(error, "malformed fill ack");
-    return serve::Status::kFailed;
-  }
-  return serve::Status::kOk;
+  return read_fill_reply(*reply, out, error);
 }
 
 std::optional<NetStats> NetClient::stat(std::string* error) {
@@ -659,21 +605,6 @@ std::optional<quality::QualityReport> NetClient::quality(std::string* error) {
     return std::nullopt;
   }
   return rep;
-}
-
-ClientPool::ClientPool(ClientOptions opts, std::size_t size) {
-  clients_.reserve(std::max<std::size_t>(1, size));
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, size); ++i) {
-    ClientOptions each = opts;
-    each.name = opts.name + "#" + std::to_string(i);
-    clients_.push_back(std::make_unique<NetClient>(std::move(each)));
-  }
-}
-
-NetClient* ClientPool::get() {
-  const std::size_t i =
-      next_.fetch_add(1, std::memory_order_relaxed) % clients_.size();
-  return clients_[i].get();
 }
 
 }  // namespace hprng::net

@@ -14,8 +14,8 @@
 // drain-then-checkpoint shutdown this makes a rolling restart invisible:
 // the retried fill continues the substream bit-exactly.
 //
-// Retry scope: only the synchronous fill()/lease()/stat()/... calls retry
-// transparently, and only when the failure arrived *before* a reply —
+// Retry scope: only the synchronous fill() and lease()/lease_on() calls
+// retry transparently, and only when the failure arrived *before* a reply —
 // after an EOF with no FillAck the graceful-shutdown contract guarantees
 // the fill was not served, so re-issuing cannot skip words. Pipelined
 // fills (fill_submit) do NOT retry on their own: with several requests in
@@ -26,11 +26,9 @@
 // interleave whole requests. Pipelining depth comes from fill_submit, not
 // from concurrent threads.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -64,9 +62,6 @@ struct ClientOptions {
   /// Base reconnect backoff, doubled per attempt (capped at 500ms) —
   /// rides out the restart window of a rolling restart.
   std::chrono::milliseconds reconnect_backoff{20};
-
-  /// Re-adopt held leases automatically after a reconnect.
-  bool auto_adopt = true;
 
   /// Tenant id sent in every lease request (docs/QOS.md §2). Leases this
   /// client opens bill against that tenant's rate/quota policy; 0 is the
@@ -187,7 +182,7 @@ class NetClient {
     obs::Counter* adoptions = nullptr;
   };
 
-  /// Dial + hello + (optionally) re-adopt held leases. mu_ held.
+  /// Dial + hello + re-adopt held leases. mu_ held.
   bool ensure_connected(std::string* error);
   /// One dial + hello, no retry. mu_ held.
   bool connect_once(std::string* error);
@@ -203,6 +198,15 @@ class NetClient {
   /// send + await for one synchronous request. mu_ held.
   std::optional<Frame> roundtrip(Op op, std::string payload,
                                  bool* timed_out);
+  /// ensure_connected + roundtrip, re-issued while the connection drops
+  /// before a reply (at most max_reconnects times). nullopt = gave up;
+  /// *error says why ("<what> timed out" or "connection lost"). mu_ held.
+  std::optional<Frame> request(Op op, const std::string& payload,
+                               const char* what, std::string* error,
+                               bool* timed_out);
+  /// The kLease path of lease() (no key) and lease_on(). Takes mu_.
+  std::optional<std::uint64_t> open_lease(
+      std::optional<std::uint64_t> shard_key, std::string* error);
   /// Re-adopt every held lease on a fresh connection. mu_ held.
   bool readopt_leases(std::string* error);
 
@@ -221,26 +225,6 @@ class NetClient {
   std::set<std::uint64_t> held_;            ///< lease ids we own
   ServerInfo info_;
   Stats stats_;
-};
-
-/// A fixed-size pool of NetClients over one endpoint — connection pooling
-/// for multi-threaded callers (each get() hands out clients round-robin;
-/// NetClient serialises internally, so striping across the pool is what
-/// buys parallel wire throughput).
-class ClientPool {
- public:
-  ClientPool(ClientOptions opts, std::size_t size);
-
-  [[nodiscard]] std::size_t size() const { return clients_.size(); }
-
-  /// Round-robin client handle (never null; the pool owns it).
-  NetClient* get();
-  /// Direct index access (stable for a client's lifetime).
-  NetClient* at(std::size_t i) { return clients_[i].get(); }
-
- private:
-  std::vector<std::unique_ptr<NetClient>> clients_;
-  std::atomic<std::size_t> next_{0};
 };
 
 }  // namespace hprng::net

@@ -28,6 +28,30 @@ void apply_delay(const fault::Outcome& outcome) {
   }
 }
 
+/// Each wire event's Stats slot and catalogued counter, in NetServer::Event
+/// order; nullptr where the event has no instrument of its own.
+struct EventSlot {
+  std::uint64_t NetServer::Stats::*stat;
+  const char* instrument;
+};
+constexpr EventSlot kEvents[] = {
+    {&NetServer::Stats::accepted, "hprng.net.accepted"},
+    {&NetServer::Stats::disconnects, "hprng.net.disconnects"},
+    {&NetServer::Stats::frames_rx, "hprng.net.frames_rx"},
+    {&NetServer::Stats::frames_tx, "hprng.net.frames_tx"},
+    {&NetServer::Stats::bytes_rx, "hprng.net.bytes_rx"},
+    {&NetServer::Stats::bytes_tx, "hprng.net.bytes_tx"},
+    {&NetServer::Stats::frame_errors, "hprng.net.frame_errors"},
+    {&NetServer::Stats::protocol_errors, "hprng.net.protocol_errors"},
+    {&NetServer::Stats::fills, nullptr},
+    {&NetServer::Stats::fills_ok, "hprng.net.fills_ok"},
+    {&NetServer::Stats::fills_rejected, "hprng.net.fills_rejected"},
+    {&NetServer::Stats::leases_opened, "hprng.net.leases_opened"},
+    {&NetServer::Stats::leases_adopted, "hprng.net.leases_adopted"},
+    {&NetServer::Stats::leases_released, "hprng.net.leases_released"},
+    {&NetServer::Stats::checkpoints, "hprng.net.checkpoints"},
+};
+
 /// The server whose event loop runs on this thread, if any.
 thread_local const NetServer* t_loop_server = nullptr;
 
@@ -41,20 +65,9 @@ void drain_fd(int fd) {
 }  // namespace
 
 void register_catalogue(obs::MetricsRegistry& registry) {
-  registry.counter("hprng.net.accepted");
-  registry.counter("hprng.net.disconnects");
-  registry.counter("hprng.net.frames_rx");
-  registry.counter("hprng.net.frames_tx");
-  registry.counter("hprng.net.bytes_rx");
-  registry.counter("hprng.net.bytes_tx");
-  registry.counter("hprng.net.frame_errors");
-  registry.counter("hprng.net.protocol_errors");
-  registry.counter("hprng.net.fills_ok");
-  registry.counter("hprng.net.fills_rejected");
-  registry.counter("hprng.net.leases_opened");
-  registry.counter("hprng.net.leases_adopted");
-  registry.counter("hprng.net.leases_released");
-  registry.counter("hprng.net.checkpoints");
+  for (const EventSlot& e : kEvents) {
+    if (e.instrument != nullptr) registry.counter(e.instrument);
+  }
   registry.gauge("hprng.net.connections");
   registry.gauge("hprng.net.orphaned_leases");
   registry.histogram("hprng.net.fill_seconds");
@@ -70,20 +83,12 @@ NetServer::NetServer(serve::RngService& service, ServerOptions opts,
     : service_(service), opts_(std::move(opts)), metrics_(metrics) {
   if (metrics_ != nullptr) {
     register_catalogue(*metrics_);
-    ins_.accepted = &metrics_->counter("hprng.net.accepted");
-    ins_.disconnects = &metrics_->counter("hprng.net.disconnects");
-    ins_.frames_rx = &metrics_->counter("hprng.net.frames_rx");
-    ins_.frames_tx = &metrics_->counter("hprng.net.frames_tx");
-    ins_.bytes_rx = &metrics_->counter("hprng.net.bytes_rx");
-    ins_.bytes_tx = &metrics_->counter("hprng.net.bytes_tx");
-    ins_.frame_errors = &metrics_->counter("hprng.net.frame_errors");
-    ins_.protocol_errors = &metrics_->counter("hprng.net.protocol_errors");
-    ins_.fills_ok = &metrics_->counter("hprng.net.fills_ok");
-    ins_.fills_rejected = &metrics_->counter("hprng.net.fills_rejected");
-    ins_.leases_opened = &metrics_->counter("hprng.net.leases_opened");
-    ins_.leases_adopted = &metrics_->counter("hprng.net.leases_adopted");
-    ins_.leases_released = &metrics_->counter("hprng.net.leases_released");
-    ins_.checkpoints = &metrics_->counter("hprng.net.checkpoints");
+    static_assert(std::size(kEvents) == kNumEvents);
+    for (std::size_t e = 0; e < kNumEvents; ++e) {
+      if (kEvents[e].instrument != nullptr) {
+        ins_.events[e] = &metrics_->counter(kEvents[e].instrument);
+      }
+    }
     ins_.connections = &metrics_->gauge("hprng.net.connections");
     ins_.orphaned = &metrics_->gauge("hprng.net.orphaned_leases");
     ins_.fill_seconds = &metrics_->histogram("hprng.net.fill_seconds");
@@ -201,6 +206,19 @@ NetServer::Stats NetServer::stats() const {
   return out;
 }
 
+void NetServer::count(Event event, std::uint64_t n) {
+  stats_.*kEvents[event].stat += n;
+  if (ins_.events[event] != nullptr) {
+    ins_.events[event]->add(static_cast<double>(n));
+  }
+}
+
+void NetServer::publish_gauges() {
+  if (ins_.connections == nullptr) return;
+  ins_.connections->set(static_cast<double>(conns_.size()));
+  ins_.orphaned->set(static_cast<double>(orphans_.size()));
+}
+
 void NetServer::loop() {
   t_loop_server = this;
   std::vector<pollfd> pfds;
@@ -293,11 +311,8 @@ void NetServer::accept_ready(std::size_t listener_idx) {
     c->fd = fd;
     c->id = next_conn_id_++;
     conns_.emplace(c->id, c);
-    ++stats_.accepted;
-    if (ins_.accepted != nullptr) ins_.accepted->add();
-    if (ins_.connections != nullptr) {
-      ins_.connections->set(static_cast<double>(conns_.size()));
-    }
+    count(kAccepted);
+    publish_gauges();
   }
 }
 
@@ -316,10 +331,7 @@ void NetServer::read_ready(const std::shared_ptr<Conn>& c) {
     const ssize_t n = read(c->fd, tmp, sizeof(tmp));
     if (n > 0) {
       c->rbuf.append(tmp, static_cast<std::size_t>(n));
-      stats_.bytes_rx += static_cast<std::uint64_t>(n);
-      if (ins_.bytes_rx != nullptr) {
-        ins_.bytes_rx->add(static_cast<double>(n));
-      }
+      count(kBytesRx, static_cast<std::uint64_t>(n));
       if (static_cast<std::size_t>(n) < sizeof(tmp)) break;
       continue;
     }
@@ -338,14 +350,12 @@ void NetServer::read_ready(const std::shared_ptr<Conn>& c) {
     const Decode dr = decode(c->rbuf, &frame, &consumed, &err);
     if (dr == Decode::kNeedMore) break;
     if (dr == Decode::kBad) {
-      ++stats_.frame_errors;
-      if (ins_.frame_errors != nullptr) ins_.frame_errors->add();
+      count(kFrameErrors);
       send_error(c, 0, ErrCode::kBadFrame, err);
       break;
     }
     c->rbuf.erase(0, consumed);
-    ++stats_.frames_rx;
-    if (ins_.frames_rx != nullptr) ins_.frames_rx->add();
+    count(kFramesRx);
     handle_frame(c, frame);
     if (conns_.count(c->id) == 0) return;  // handler dropped the conn
   }
@@ -371,8 +381,7 @@ void NetServer::write_ready(const std::shared_ptr<Conn>& c) {
     drop(c);
     return;
   }
-  stats_.bytes_tx += static_cast<std::uint64_t>(n);
-  if (ins_.bytes_tx != nullptr) ins_.bytes_tx->add(static_cast<double>(n));
+  count(kBytesTx, static_cast<std::uint64_t>(n));
   c->wbuf.erase(0, static_cast<std::size_t>(n));
   if (c->wbuf.empty() && c->closing) drop(c);
 }
@@ -388,20 +397,13 @@ void NetServer::drop(const std::shared_ptr<Conn>& c) {
   c->sessions.clear();
   close_fd(c->fd);
   c->fd = -1;
-  ++stats_.disconnects;
-  if (ins_.disconnects != nullptr) ins_.disconnects->add();
-  if (ins_.connections != nullptr) {
-    ins_.connections->set(static_cast<double>(conns_.size()));
-  }
-  if (ins_.orphaned != nullptr) {
-    ins_.orphaned->set(static_cast<double>(orphans_.size()));
-  }
+  count(kDisconnects);
+  publish_gauges();
 }
 
 void NetServer::send(const std::shared_ptr<Conn>& c, const Frame& frame) {
   c->wbuf += encode(frame);
-  ++stats_.frames_tx;
-  if (ins_.frames_tx != nullptr) ins_.frames_tx->add();
+  count(kFramesTx);
 }
 
 void NetServer::send_error(const std::shared_ptr<Conn>& c,
@@ -415,8 +417,7 @@ void NetServer::send_error(const std::shared_ptr<Conn>& c,
   reply.request_id = request_id;
   reply.payload = w.take();
   send(c, reply);
-  ++stats_.protocol_errors;
-  if (ins_.protocol_errors != nullptr) ins_.protocol_errors->add();
+  count(kProtocolErrors);
   if (fatal(code)) c->closing = true;
 }
 
@@ -465,7 +466,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       w.put_u32(proto);
       w.put_str(service_.options().backend);
       w.put_u32(static_cast<std::uint32_t>(service_.num_shards()));
-      w.put_u64(static_cast<std::uint64_t>(opts_.max_fill_words));
+      w.put_u64(static_cast<std::uint64_t>(kMaxFillWords));
       Frame reply;
       reply.op = Op::kHelloAck;
       reply.request_id = frame.request_id;
@@ -494,8 +495,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       }
       const serve::Lease lease = session->lease();
       c->sessions.emplace(lease.id, *session);
-      ++stats_.leases_opened;
-      if (ins_.leases_opened != nullptr) ins_.leases_opened->add();
+      count(kLeasesOpened);
       WireWriter w;
       w.put_u64(lease.id);
       w.put_u32(static_cast<std::uint32_t>(lease.shard));
@@ -512,7 +512,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       const std::uint32_t words = r.get_u32();
       const std::uint32_t timeout_ms = r.get_u32();
       if (!r.ok() || words == 0 ||
-          static_cast<std::size_t>(words) > opts_.max_fill_words) {
+          static_cast<std::size_t>(words) > kMaxFillWords) {
         send_error(c, frame.request_id, ErrCode::kBadRequest, "bad fill");
         return;
       }
@@ -526,8 +526,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       if (c->pending_fills >= opts_.max_pending_fills) {
         // Protocol-level shed: the connection's fill window is full. The
         // client sees an explicit kBackpressure reply, not a stall.
-        ++stats_.fills_rejected;
-        if (ins_.fills_rejected != nullptr) ins_.fills_rejected->add();
+        count(kFillsRejected);
         send_error(c, frame.request_id, ErrCode::kBackpressure,
                    "per-connection fill window full");
         return;
@@ -547,7 +546,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
             on_settled({key, status, std::chrono::steady_clock::now()});
           });
       ++c->pending_fills;
-      ++stats_.fills;
+      count(kFills);
       return;
     }
     case Op::kRelease: {
@@ -559,11 +558,8 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       bool released = c->sessions.erase(lease_id) > 0;
       if (!released) released = orphans_.erase(lease_id) > 0;
       if (released) {
-        ++stats_.leases_released;
-        if (ins_.leases_released != nullptr) ins_.leases_released->add();
-        if (ins_.orphaned != nullptr) {
-          ins_.orphaned->set(static_cast<double>(orphans_.size()));
-        }
+        count(kLeasesReleased);
+        publish_gauges();
       }
       WireWriter w;
       w.put_u64(lease_id);
@@ -596,11 +592,8 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
           }
         }
         if (ok) {
-          ++stats_.leases_adopted;
-          if (ins_.leases_adopted != nullptr) ins_.leases_adopted->add();
-          if (ins_.orphaned != nullptr) {
-            ins_.orphaned->set(static_cast<double>(orphans_.size()));
-          }
+          count(kLeasesAdopted);
+          publish_gauges();
         }
       }
       WireWriter w;
@@ -667,10 +660,7 @@ void NetServer::handle_frame(const std::shared_ptr<Conn>& c,
       // construction while we block here.
       std::string err;
       const bool ok = service_.checkpoint(path, &err);
-      if (ok) {
-        ++stats_.checkpoints;
-        if (ins_.checkpoints != nullptr) ins_.checkpoints->add();
-      }
+      if (ok) count(kCheckpoints);
       WireWriter w;
       w.put_u8(ok ? 1 : 0);
       w.put_str(err);
@@ -776,13 +766,7 @@ void NetServer::reply_settled() {
     const auto node = inflight_fills_.extract(s.fill);
     HPRNG_CHECK(!node.empty(), "NetServer: settled fill is not in flight");
     const Fill& fill = node.mapped();
-    if (s.status == serve::Status::kOk) {
-      ++stats_.fills_ok;
-      if (ins_.fills_ok != nullptr) ins_.fills_ok->add();
-    } else {
-      ++stats_.fills_rejected;
-      if (ins_.fills_rejected != nullptr) ins_.fills_rejected->add();
-    }
+    count(s.status == serve::Status::kOk ? kFillsOk : kFillsRejected);
     if (ins_.fill_seconds != nullptr) {
       ins_.fill_seconds->observe(
           std::chrono::duration<double>(s.at - fill.start).count());

@@ -38,6 +38,7 @@
 // drops the connection — exactly the torn-read / dead-peer weather the
 // chaos suite replays deterministically.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -66,9 +67,6 @@ struct ServerOptions {
   /// Endpoints to listen on (unix:PATH / tcp:HOST:PORT). At least one;
   /// all of them serve the same RngService.
   std::vector<std::string> listen;
-
-  /// Per-request word cap; larger kFill asks are rejected kBadRequest.
-  std::size_t max_fill_words = kMaxFillWords;
 
   /// Per-connection in-flight fill window. The (N+1)th concurrent fill on
   /// one connection is shed with kError/kBackpressure instead of queueing
@@ -174,26 +172,40 @@ class NetServer {
     std::chrono::steady_clock::time_point at;  ///< when it settled
   };
 
+  /// Wire events, one per counted Stats field. count() bumps an event's
+  /// Stats slot and its catalogued instrument together.
+  enum Event : std::size_t {
+    kAccepted,
+    kDisconnects,
+    kFramesRx,
+    kFramesTx,
+    kBytesRx,
+    kBytesTx,
+    kFrameErrors,
+    kProtocolErrors,
+    kFills,
+    kFillsOk,
+    kFillsRejected,
+    kLeasesOpened,
+    kLeasesAdopted,
+    kLeasesReleased,
+    kCheckpoints,
+    kNumEvents,
+  };
+
+  /// The server's `hprng.net.*` instruments (docs/OBSERVABILITY.md),
+  /// resolved once at construction. All null when no registry is attached.
   struct Instruments {
-    obs::Counter* accepted = nullptr;
-    obs::Counter* disconnects = nullptr;
-    obs::Counter* frames_rx = nullptr;
-    obs::Counter* frames_tx = nullptr;
-    obs::Counter* bytes_rx = nullptr;
-    obs::Counter* bytes_tx = nullptr;
-    obs::Counter* frame_errors = nullptr;
-    obs::Counter* protocol_errors = nullptr;
-    obs::Counter* fills_ok = nullptr;
-    obs::Counter* fills_rejected = nullptr;
-    obs::Counter* leases_opened = nullptr;
-    obs::Counter* leases_adopted = nullptr;
-    obs::Counter* leases_released = nullptr;
-    obs::Counter* checkpoints = nullptr;
+    /// Per-event counters; null also for events with no instrument.
+    std::array<obs::Counter*, kNumEvents> events{};
     obs::Gauge* connections = nullptr;
     obs::Gauge* orphaned = nullptr;
     obs::Histogram* fill_seconds = nullptr;
   };
 
+  void count(Event event, std::uint64_t n = 1);       // mu_ held
+  /// Set the connection and orphan gauges to the current table sizes.
+  void publish_gauges();                              // mu_ held
   void loop();
   void wake();
   /// The settle hook's body: may run on any thread — a worker, or the

@@ -1,7 +1,5 @@
 #include "obs/metrics.hpp"
 
-#if !defined(HPRNG_OBS_DISABLED)
-
 #include <algorithm>
 #include <cmath>
 
@@ -172,5 +170,3 @@ bool MetricsRegistry::write_json(const std::string& path) const {
 }
 
 }  // namespace hprng::obs
-
-#endif  // !HPRNG_OBS_DISABLED

@@ -11,70 +11,15 @@
 // core::HybridPrng) resolve their instruments ONCE in set_metrics() and
 // keep raw pointers, so a hook on the hot path is a null check plus an
 // atomic add — and nothing at all when no registry is attached.
-//
-// When the build is configured with -DHPRNG_ENABLE_OBS=OFF this header
-// provides inline no-op stubs with the same API, so every call site
-// compiles unchanged and the optimizer deletes the hooks entirely.
-
-#include <string>
-#include <vector>
-
-#if defined(HPRNG_OBS_DISABLED)
-
-namespace hprng::obs {
-
-inline constexpr bool kEnabled = false;
-
-class Counter {
- public:
-  void add(double = 1.0) {}
-  [[nodiscard]] double value() const { return 0.0; }
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  [[nodiscard]] double value() const { return 0.0; }
-};
-
-class Histogram {
- public:
-  void observe(double) {}
-  [[nodiscard]] std::size_t count() const { return 0; }
-  [[nodiscard]] double sum() const { return 0.0; }
-  [[nodiscard]] double min() const { return 0.0; }
-  [[nodiscard]] double max() const { return 0.0; }
-  [[nodiscard]] double quantile(double) const { return 0.0; }
-};
-
-class MetricsRegistry {
- public:
-  Counter& counter(const std::string&) { return counter_; }
-  Gauge& gauge(const std::string&) { return gauge_; }
-  Histogram& histogram(const std::string&) { return histogram_; }
-  [[nodiscard]] bool has(const std::string&) const { return false; }
-  [[nodiscard]] std::vector<std::string> names() const { return {}; }
-  [[nodiscard]] std::string to_json() const { return "{}"; }
-  [[nodiscard]] bool write_json(const std::string&) const { return false; }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-}  // namespace hprng::obs
-
-#else  // HPRNG_OBS_DISABLED
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <string>
+#include <vector>
 
 namespace hprng::obs {
-
-inline constexpr bool kEnabled = true;
 
 /// Monotonically increasing quantity (events, bytes, simulated seconds).
 /// Thread safe; double-valued so time totals need no scaling tricks.
@@ -174,5 +119,3 @@ class MetricsRegistry {
 };
 
 }  // namespace hprng::obs
-
-#endif  // HPRNG_OBS_DISABLED

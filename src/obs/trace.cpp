@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#if !defined(HPRNG_OBS_DISABLED)
-
 #include <algorithm>
 
 #include "obs/json.hpp"
@@ -180,5 +178,3 @@ bool TraceWriter::write_json(const std::string& path) const {
 }
 
 }  // namespace hprng::obs
-
-#endif  // !HPRNG_OBS_DISABLED

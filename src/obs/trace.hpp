@@ -9,36 +9,12 @@
 // Resource enum), so hprng_obs does not link against hprng_sim.
 
 #include <cstdint>
-#include <string>
-
-#include "sim/timeline.hpp"
-
-#if defined(HPRNG_OBS_DISABLED)
-
-namespace hprng::obs {
-
-class TraceWriter {
- public:
-  int add_process(const std::string&) { return 0; }
-  void add_timeline(const sim::Timeline&, int = 1) {}
-  int add_track(int, const std::string&) { return 0; }
-  void add_span(int, int, const std::string&, double, double) {}
-  void add_async_span(int, const std::string&, std::uint64_t,
-                      const std::string&, double, double) {}
-  void add_counter(const std::string&, double, double, int = 1) {}
-  [[nodiscard]] std::string to_json() const {
-    return "{\"traceEvents\": []}\n";
-  }
-  [[nodiscard]] bool write_json(const std::string&) const { return false; }
-};
-
-}  // namespace hprng::obs
-
-#else  // HPRNG_OBS_DISABLED
-
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "sim/timeline.hpp"
 
 namespace hprng::obs {
 
@@ -111,5 +87,3 @@ class TraceWriter {
 };
 
 }  // namespace hprng::obs
-
-#endif  // HPRNG_OBS_DISABLED

@@ -22,6 +22,25 @@ namespace hprng::quality {
 
 namespace {
 
+// Fixed scrub policy (docs/QUALITY.md §1).
+
+/// Background-mode pacing: the fraction of wall time spent scrubbing
+/// (docs/QUALITY.md §5).
+constexpr double kDutyCycle = 0.05;
+
+/// Consecutive smoke-anomalous passes before escalating to tier 1.
+constexpr int kEscalateAfter = 3;
+
+/// A smoke statistic below this p-value flags its pass as anomalous.
+constexpr double kSmokePLo = 1e-4;
+
+/// A battery whose KS-over-p p-value falls below this (or that fails more
+/// than a quarter of its statistics) is an anomaly.
+constexpr double kBatteryKsLo = 1e-4;
+
+/// Anomaly-history records retained (and checkpointed); oldest dropped.
+constexpr std::size_t kHistoryLimit = 64;
+
 void bump(obs::Counter* c, double v = 1.0) {
   if (c != nullptr) c->add(v);
 }
@@ -220,8 +239,6 @@ QualityScrubber::QualityScrubber(serve::RngService& service,
               "QualityScrubber: tier in [0, 2]");
   HPRNG_CHECK(opts_.battery_scale > 0.0,
               "QualityScrubber: battery_scale > 0");
-  HPRNG_CHECK(opts_.escalate_after >= 1,
-              "QualityScrubber: escalate_after >= 1");
   tier_ = opts_.tier;
 
   const std::vector<std::string> names = serve::known_backends();
@@ -317,7 +334,7 @@ bool QualityScrubber::try_restore() {
     slot.corr_p = r.get_f64();
   }
   const std::uint64_t history_count = r.get_u64();
-  if (!r.ok() || history_count > opts_.history_limit + 4096) return false;
+  if (!r.ok() || history_count > kHistoryLimit + 4096) return false;
   std::vector<AnomalyRecord> history(
       static_cast<std::size_t>(history_count));
   for (AnomalyRecord& rec : history) {
@@ -440,7 +457,7 @@ void QualityScrubber::run_passes(int n) {
 void QualityScrubber::finalize_pass(const std::vector<SmokeResult>& results) {
   const auto push_history = [this](AnomalyRecord rec) {
     history_.push_back(std::move(rec));
-    while (history_.size() > opts_.history_limit) {
+    while (history_.size() > kHistoryLimit) {
       history_.erase(history_.begin());
     }
   };
@@ -464,7 +481,7 @@ void QualityScrubber::finalize_pass(const std::vector<SmokeResult>& results) {
       bump(ins_.words, static_cast<double>(opts_.pass_words));
       slot.freq_p = results[i].freq_p;
       slot.corr_p = results[i].corr_p;
-      if (slot.freq_p < opts_.smoke_p_lo || slot.corr_p < opts_.smoke_p_lo) {
+      if (slot.freq_p < kSmokePLo || slot.corr_p < kSmokePLo) {
         smoke_anomalous = true;
         if (smoke_what.empty()) {
           smoke_what = util::strf(
@@ -474,7 +491,7 @@ void QualityScrubber::finalize_pass(const std::vector<SmokeResult>& results) {
       }
     }
     consecutive_smoke_ = smoke_anomalous ? consecutive_smoke_ + 1 : 0;
-    if (consecutive_smoke_ >= opts_.escalate_after && tier_ < 1) {
+    if (consecutive_smoke_ >= kEscalateAfter && tier_ < 1) {
       tier_ = 1;
       ++escalations_;
       bump(ins_.escalations);
@@ -564,9 +581,8 @@ bool QualityScrubber::run_battery_tier(int tier, std::string* what) {
   last_ks_p_ = rep.ks_p;
   last_ks_valid_ = rep.ks_valid;
   const int failed = rep.num_total() - rep.num_passed();
-  const bool anomaly =
-      (rep.ks_valid && rep.ks_p < opts_.battery_ks_lo) ||
-      failed * 4 > rep.num_total();
+  const bool anomaly = (rep.ks_valid && rep.ks_p < kBatteryKsLo) ||
+                       failed * 4 > rep.num_total();
   if (anomaly) {
     *what = util::strf("battery:%s %d/%d ks_p=%.3g", rep.battery.c_str(),
                        rep.num_passed(), rep.num_total(), rep.ks_p);
@@ -647,9 +663,8 @@ void QualityScrubber::start() {
       // Duty-cycle pacing: a pass costing t gets t*(1-d)/d of sleep, so
       // scrubbing consumes ~d of one core and foreground fills keep the
       // rest (docs/QUALITY.md §5).
-      const double duty = std::clamp(opts_.duty_cycle, 0.001, 1.0);
-      const double sleep_seconds =
-          std::clamp(pass_seconds * (1.0 - duty) / duty, 0.001, 2.0);
+      const double sleep_seconds = std::clamp(
+          pass_seconds * (1.0 - kDutyCycle) / kDutyCycle, 0.001, 2.0);
       std::unique_lock<std::mutex> lk(sleep_mu_);
       sleep_cv_.wait_for(
           lk, std::chrono::duration<double>(sleep_seconds),

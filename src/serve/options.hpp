@@ -57,28 +57,10 @@ struct ScrubberOptions {
   /// u64 words drawn per stream per pass for the smoke statistics.
   std::uint64_t pass_words = 4096;
 
-  /// Background-mode pacing: fraction of wall time spent scrubbing; after
-  /// each pass the scrub thread sleeps pass_time * (1 - duty) / duty, so
-  /// foreground fills keep the machine (docs/QUALITY.md §5).
-  double duty_cycle = 0.05;
-
   /// Scales the tier-1/2 battery sample sizes (1.0 = the honest
   /// SmallCrush-equivalent). Tests dial it down for wall-clock; production
   /// keeps 1.0.
   double battery_scale = 1.0;
-
-  /// Consecutive smoke-anomalous passes before escalating to tier 1.
-  int escalate_after = 3;
-
-  /// A smoke statistic below this p-value flags its pass as anomalous.
-  double smoke_p_lo = 1e-4;
-
-  /// A battery whose KS-over-p p-value falls below this (or that fails
-  /// more than a quarter of its statistics) is an anomaly.
-  double battery_ks_lo = 1e-4;
-
-  /// Anomaly-history records retained (and checkpointed); oldest dropped.
-  std::size_t history_limit = 64;
 };
 
 /// Per-tenant QoS policy (docs/QOS.md §2). One policy row answers three

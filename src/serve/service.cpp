@@ -1022,7 +1022,6 @@ std::unique_ptr<RngService> RngService::restore(const std::string& path,
   state::SectionReader r(*opts_sec);
   if (!load_options(r, &opts)) return fail(r.error());
   opts.injector = ro.injector;
-  if (ro.num_workers > 0) opts.num_workers = ro.num_workers;
   if (ro.scrub.has_value()) opts.scrub = *ro.scrub;
 
   auto svc = std::make_unique<RngService>(std::move(opts), ro.metrics);

@@ -331,7 +331,6 @@ class RngService {
   struct RestoreOptions {
     obs::MetricsRegistry* metrics = nullptr;
     fault::Injector* injector = nullptr;  ///< not owned; may be nullptr
-    int num_workers = 0;                  ///< 0 = the snapshot's value
     /// Scrub knobs for the restored deployment. The snapshot's OPTS
     /// section deliberately omits them (docs/QUALITY.md §6: a restore may
     /// change scrub policy); nullopt keeps the defaults (disabled).

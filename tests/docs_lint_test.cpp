@@ -161,7 +161,6 @@ TEST(DocsLint, RelativeLinksResolve) {
 // every serving/state instrument the code registers must be catalogued
 // in docs/OBSERVABILITY.md, so new instruments cannot land undocumented.
 TEST(DocsLint, ServeAndStateInstrumentsAreCatalogued) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DHPRNG_ENABLE_OBS=OFF";
   obs::MetricsRegistry metrics;
   serve::ServiceOptions opts;
   opts.backend = "cpu-walk";
@@ -196,7 +195,6 @@ TEST(DocsLint, ServeAndStateInstrumentsAreCatalogued) {
 // set — NetServer/NetClient resolve their instruments through it — so
 // linting it covers everything the layer can ever emit.
 TEST(DocsLint, NetInstrumentsAreCatalogued) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DHPRNG_ENABLE_OBS=OFF";
   obs::MetricsRegistry metrics;
   net::register_catalogue(metrics);
 
@@ -221,7 +219,6 @@ TEST(DocsLint, NetInstrumentsAreCatalogued) {
 // so linting it against docs/OBSERVABILITY.md keeps the quality catalogue
 // complete as instruments are added.
 TEST(DocsLint, QualityInstrumentsAreCatalogued) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DHPRNG_ENABLE_OBS=OFF";
   obs::MetricsRegistry metrics;
   quality::register_catalogue(metrics);
 
@@ -245,7 +242,6 @@ TEST(DocsLint, QualityInstrumentsAreCatalogued) {
 // hprng.core.simd_* eagerly, each must be catalogued, and the kernel-id
 // gauge must carry a valid hprng::simd kernel enum value.
 TEST(DocsLint, SimdInstrumentsAreCatalogued) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DHPRNG_ENABLE_OBS=OFF";
   obs::MetricsRegistry metrics;
   sim::Device dev;
   core::HybridPrng prng(dev);

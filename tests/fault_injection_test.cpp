@@ -139,7 +139,6 @@ TEST(Injector, FailDominatesAndDelaysAccumulate) {
 }
 
 TEST(Injector, MaintainsTheFaultMetricsCatalogue) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability disabled";
   obs::MetricsRegistry metrics;
   FaultPlan plan;
   plan.add({Site::kShardFill, 0, 0, 2, Action::kFail, 0.0});

@@ -303,6 +303,36 @@ TEST(NetChaos, ReconnectStormUnderAcceptAndReadFaults) {
   EXPECT_GE(server.stats().disconnects, 1u);
 }
 
+// lease_on() takes lease()'s retry path: a connection torn before the
+// kLeaseAck is re-dialled and the pinned request re-issued, so the lease
+// still lands on its shard and serves its stream.
+TEST(NetChaos, PinnedLeaseSurvivesADroppedConnection) {
+  // Connection 1's second read event carries the kLease.
+  fault::Injector injector(*fault::FaultPlan::parse("net_read:1:fail:1:1"));
+  serve::RngService service(small_options());
+  serve::RngService reference(small_options());
+  const std::string ep = unique_unix_endpoint();
+  net::NetServer server(service, {.listen = {ep}, .injector = &injector});
+  ASSERT_TRUE(server.ok()) << server.error();
+
+  net::NetClient client(chaos_client_options(ep));
+  std::string err;
+  const auto lease = client.lease_on(1, &err);
+  ASSERT_TRUE(lease.has_value()) << err;
+  EXPECT_EQ(injector.injected_total(), 1u);
+  EXPECT_EQ(client.stats().retries, 1u);
+  EXPECT_EQ(client.stats().reconnects, 1u);
+
+  auto ref_session = reference.try_open_session({.shard_key = 1});
+  ASSERT_TRUE(ref_session.has_value());
+  EXPECT_EQ(ref_session->lease().shard, 1);
+  ASSERT_EQ(ref_session->lease().id, *lease);
+  std::vector<std::uint64_t> wire(64), local(64);
+  ASSERT_EQ(client.fill(*lease, wire, &err), serve::Status::kOk) << err;
+  ASSERT_EQ(ref_session->fill(local), serve::Status::kOk);
+  EXPECT_EQ(wire, local);
+}
+
 // Seeded replay (the CI chaos job rotates HPRNG_CHAOS_SEED): derive a
 // deterministic accept/read fault plan from the seed, run a multi-lease
 // workload through it, and require every stream to stay bit-exact. Same
@@ -325,11 +355,22 @@ TEST(NetChaos, SeededStormReplaysDeterministically) {
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);
   };
+  //
+  // Only storms a client can ride out are derived. A net_read ordinal
+  // counts per connection id (docs/FAULTS.md §2), so a `*` read fault
+  // trips at the same ordinal on every connection: one that strikes the
+  // first three reads of a connection (hello, re-adopt, one fill) fails
+  // every reconnect as well, and no retry budget gets a fill through.
+  // Read faults therefore skip 3 to 13 reads; the 14th read is each
+  // client's last fill, so a read fault always trips. The first point is
+  // always one, so every seed derives a storm. Accept ordinals count per
+  // listener, so an accept fault spends its count once, whenever it starts.
   for (int i = 0; i < 6; ++i) {
-    plan.add({.site = (next() & 1) != 0 ? fault::Site::kNetRead
-                                        : fault::Site::kNetAccept,
+    const bool read = i == 0 || (next() & 1) != 0;
+    const std::uint64_t after = read ? 3 + next() % 11 : next() % 12;
+    plan.add({.site = read ? fault::Site::kNetRead : fault::Site::kNetAccept,
               .target = fault::kAnyTarget,
-              .after = next() % 40,
+              .after = after,
               .count = 1 + (next() % 3),
               .action = fault::Action::kFail});
   }
@@ -369,6 +410,7 @@ TEST(NetChaos, SeededStormReplaysDeterministically) {
           << "client " << i << " diverged in round " << round;
     }
   }
+  EXPECT_GT(injector.injected_total(), 0u) << "storm plan never tripped";
 }
 
 }  // namespace

@@ -314,16 +314,14 @@ TEST(Instruments, QualityGaugesAndCountersPublish) {
   serve::RngService service(scrub_options("hybrid"));
   quality::QualityScrubber scrubber(service, &metrics);
   scrubber.run_passes(2);
-  if (obs::kEnabled) {
-    EXPECT_EQ(metrics.counter("hprng.quality.passes").value(), 2.0);
-    EXPECT_EQ(metrics.counter("hprng.quality.words").value(),
-              2.0 * 4.0 * 512.0);
-    EXPECT_EQ(metrics.gauge("hprng.quality.tier").value(), 0.0);
-    EXPECT_EQ(metrics.gauge("hprng.quality.streams").value(), 4.0);
-    EXPECT_EQ(metrics.gauge("hprng.quality.anomalous").value(), 0.0);
-    EXPECT_EQ(metrics.gauge("hprng.quality.pass_ratio").value(), 1.0)
-        << "no battery yet: ratio rests at 1.0";
-  }
+  EXPECT_EQ(metrics.counter("hprng.quality.passes").value(), 2.0);
+  EXPECT_EQ(metrics.counter("hprng.quality.words").value(),
+            2.0 * 4.0 * 512.0);
+  EXPECT_EQ(metrics.gauge("hprng.quality.tier").value(), 0.0);
+  EXPECT_EQ(metrics.gauge("hprng.quality.streams").value(), 4.0);
+  EXPECT_EQ(metrics.gauge("hprng.quality.anomalous").value(), 0.0);
+  EXPECT_EQ(metrics.gauge("hprng.quality.pass_ratio").value(), 1.0)
+      << "no battery yet: ratio rests at 1.0";
 }
 
 }  // namespace

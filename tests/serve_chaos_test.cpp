@@ -350,19 +350,17 @@ TEST(ServeChaos, RandomizedPlanConservesEveryRequest) {
 
   // Instrument sanity at the quiescent fence: engine accounting and the
   // metrics catalogue agree on the headline counters.
-  if (obs::kEnabled) {
-    EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.requests_failed").value(),
-                     static_cast<double>(stats.failed));
-    EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.retry.attempts").value(),
-                     static_cast<double>(stats.retries));
-    EXPECT_DOUBLE_EQ(
-        metrics.counter("hprng.serve.retry.failovers").value(),
-        static_cast<double>(stats.failovers));
-    EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.shards_ejected").value(),
-                     static_cast<double>(stats.shards_ejected));
-    EXPECT_DOUBLE_EQ(metrics.gauge("hprng.serve.shards_healthy").value(),
-                     static_cast<double>(service.healthy_shards()));
-  }
+  EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.requests_failed").value(),
+                   static_cast<double>(stats.failed));
+  EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.retry.attempts").value(),
+                   static_cast<double>(stats.retries));
+  EXPECT_DOUBLE_EQ(
+      metrics.counter("hprng.serve.retry.failovers").value(),
+      static_cast<double>(stats.failovers));
+  EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.shards_ejected").value(),
+                   static_cast<double>(stats.shards_ejected));
+  EXPECT_DOUBLE_EQ(metrics.gauge("hprng.serve.shards_healthy").value(),
+                   static_cast<double>(service.healthy_shards()));
 }
 
 }  // namespace

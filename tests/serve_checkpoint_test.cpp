@@ -32,6 +32,7 @@
 #include "state/sections.hpp"
 #include "state/snapshot.hpp"
 #include "util/file.hpp"
+#include "util/table.hpp"
 
 namespace hprng {
 namespace {
@@ -511,7 +512,7 @@ TEST(CheckpointFaults, InjectedWriteFaultLeavesServiceServingAndNoFile) {
   serve::ServiceOptions opts = small_options("cpu-walk");
   opts.injector = &injector;
   obs::MetricsRegistry registry;
-  serve::RngService service(opts, obs::kEnabled ? &registry : nullptr);
+  serve::RngService service(opts, &registry);
   auto sessions = open_pinned(service, 2);
   std::vector<std::vector<std::uint64_t>> streams;
   run_traffic(sessions, 1, 16, &streams);
@@ -529,10 +530,8 @@ TEST(CheckpointFaults, InjectedWriteFaultLeavesServiceServingAndNoFile) {
   // retry succeeds.
   run_traffic(sessions, 1, 16, &streams);
   EXPECT_TRUE(service.checkpoint(path, &error)) << error;
-  if (obs::kEnabled) {
-    EXPECT_EQ(registry.counter("hprng.state.checkpoint_failures").value(), 1.0);
-    EXPECT_EQ(registry.counter("hprng.state.checkpoints").value(), 1.0);
-  }
+  EXPECT_EQ(registry.counter("hprng.state.checkpoint_failures").value(), 1.0);
+  EXPECT_EQ(registry.counter("hprng.state.checkpoints").value(), 1.0);
   std::remove(path.c_str());
 }
 
@@ -653,7 +652,6 @@ TEST(BackgroundCheckpointer, TicksAndCountsFailures) {
 }
 
 TEST(Instruments, StateCatalogueAppearsAndCounts) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability disabled";
   obs::MetricsRegistry registry;
   const std::string path = tmp_path("instruments.snap");
   {
@@ -685,29 +683,6 @@ TEST(Instruments, StateCatalogueAppearsAndCounts) {
   EXPECT_EQ(restore_registry.counter("hprng.state.restore_failures").value(),
             1.0);
   std::remove(bad.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(RestoreOptions, WorkerCountOverrideApplies) {
-  const std::string path = tmp_path("workers.snap");
-  {
-    serve::RngService service(small_options("cpu-walk"));
-    auto sessions = open_pinned(service, 1);
-    std::vector<std::vector<std::uint64_t>> streams;
-    run_traffic(sessions, 1, 8, &streams);
-    service.drain();
-    ASSERT_TRUE(service.checkpoint(path));
-  }
-  serve::RngService::RestoreOptions ro;
-  ro.num_workers = 1;
-  auto restored = serve::RngService::restore(path, ro);
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->options().num_workers, 1);
-  // And the override still serves traffic.
-  auto session = restored->try_open_session();
-  ASSERT_TRUE(session.has_value());
-  std::vector<std::uint64_t> buf(16);
-  EXPECT_EQ(session->fill(buf, 30s), serve::Status::kOk);
   std::remove(path.c_str());
 }
 
@@ -819,6 +794,53 @@ TEST(CheckpointHook, ScrubCursorsResumeBitExactAcrossRestore) {
     return s;
   };
   EXPECT_EQ(strip_adopted(uninterrupted), strip_adopted(resumed));
+}
+
+// Golden snapshot bytes: a fixed service driven by a fixed sequence writes
+// the same bytes into every section, so a change that moves a stream, a
+// lease or an options echo shows here. QUAL holds floating-point p-values
+// whose last bits follow libm, so only its length is pinned. An intended
+// format or stream change re-records the table and says why.
+TEST(SnapshotGolden, FixedServiceWritesPinnedSectionBytes) {
+  serve::ServiceOptions opts;
+  opts.backend = "hybrid";
+  opts.seed = 7;
+  opts.walk_len = 32;
+  opts.num_shards = 2;
+  opts.max_leases_per_shard = 8;
+  opts.scrub.pass_words = 64;
+  serve::RngService service(opts);
+  std::vector<serve::Session> sessions;
+  for (int i = 0; i < 4; ++i) sessions.push_back(service.open_session());
+  std::vector<std::vector<std::uint64_t>> streams;
+  run_traffic(sessions, 5, 100, &streams);
+  quality::QualityScrubber scrubber(service);
+  scrubber.run_passes(2);
+  service.drain();
+
+  const std::string path = tmp_path("golden.snap");
+  std::string error;
+  ASSERT_TRUE(service.checkpoint(path, &error)) << error;
+  const auto snap = state::Snapshot::read_file(path, &error);
+  std::remove(path.c_str());
+  ASSERT_TRUE(snap.has_value()) << error;
+
+  std::string sections;
+  for (const state::Section& s : snap->sections()) {
+    sections += state::tag_name(s.tag) + " ";
+    sections += s.tag == state::kTagQual
+                    ? util::strf("len=%zu\n", s.payload.size())
+                    : util::strf("crc=%08x\n", state::crc32(s.payload));
+  }
+  EXPECT_EQ(sections,
+            "META crc=6edcf012\n"
+            "OPTS crc=cec9fa72\n"
+            "LEAS crc=68f770d3\n"
+            "HLTH crc=7afa062f\n"
+            "TENQ crc=1fe59934\n"
+            "SHRD crc=aedf50e3\n"
+            "SHRD crc=f9417626\n"
+            "QUAL len=198\n");
 }
 
 }  // namespace

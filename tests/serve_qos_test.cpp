@@ -521,7 +521,6 @@ TEST(TenantQos, TenantInstrumentsAreRegistered) {
   EXPECT_EQ(session->fill(buf), serve::Status::kOk);
   EXPECT_EQ(session->fill(buf), serve::Status::kRejectedQuota);
   service.drain();
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
   EXPECT_EQ(metrics.counter("hprng.serve.tenant.rejected_quota").value(),
             1.0);
   EXPECT_EQ(metrics.counter("hprng.serve.tenant.quota_words_charged").value(),

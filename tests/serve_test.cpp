@@ -383,10 +383,8 @@ TEST(ServeAccounting, QueueDepthGaugeMatchesEngineAccountingAtFences) {
   auto expect_fence = [&](std::size_t expected_depth) {
     const auto stats = service.stats();
     EXPECT_EQ(stats.queue_depth, expected_depth);
-    if (obs::kEnabled) {
-      EXPECT_DOUBLE_EQ(metrics.gauge("hprng.serve.queue_depth").value(),
-                       static_cast<double>(stats.queue_depth));
-    }
+    EXPECT_DOUBLE_EQ(metrics.gauge("hprng.serve.queue_depth").value(),
+                     static_cast<double>(stats.queue_depth));
   };
 
   expect_fence(0);
@@ -413,12 +411,10 @@ TEST(ServeAccounting, QueueDepthGaugeMatchesEngineAccountingAtFences) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.submitted, 24u);
   EXPECT_EQ(stats.completed, 24u);
-  if (obs::kEnabled) {
-    EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.requests_completed").value(),
-                     static_cast<double>(stats.completed));
-    EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.numbers_served").value(),
-                     static_cast<double>(stats.numbers_served));
-  }
+  EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.requests_completed").value(),
+                   static_cast<double>(stats.completed));
+  EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.numbers_served").value(),
+                   static_cast<double>(stats.numbers_served));
 }
 
 TEST(ServeAccounting, StatusesConserveSubmissions) {
@@ -553,10 +549,8 @@ TEST(ServeInPlace, IdleServiceServesASecondSmallFillOnTheCallersThread) {
   EXPECT_EQ(after.batches, before.batches + 1);
   EXPECT_EQ(before.served_in_place, 0u);
   EXPECT_EQ(after.served_in_place, 1u);
-  if (obs::kEnabled) {
-    EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.fills_in_place").value(),
-                     1.0);
-  }
+  EXPECT_DOUBLE_EQ(metrics.counter("hprng.serve.fills_in_place").value(),
+                   1.0);
   // The in-place fill continues the session's stream.
   core::CpuWalkPrng replay(session.lease().seed,
                            core::CpuWalkConfig{
