@@ -55,6 +55,10 @@
 //        --listen=EP    host a NetServer in-process and aim the clients
 //                       at it (self-contained wire bench)
 //        --connect=EP   aim the clients at an external server (serve_net)
+//        --inflight=K   fills each client keeps pipelined on its
+//                       connection; K = 1 in the closed loop issues
+//                       synchronous fills, the only ones that reconnect
+//                       and retry on their own (the restart demo's path)
 //        --open-loop    Poisson arrivals instead of the closed loop:
 //                       --rate=R total requests/second, split across
 //                       clients, gaps drawn from a deterministic
@@ -539,21 +543,22 @@ int run_wire(const util::Cli& cli) {
                            .count());
       };
 
-      if (!open_loop) {
-        // Closed loop: back-to-back synchronous fills (transparent
-        // reconnect + retry — the restart-riding path).
+      if (!open_loop && inflight == 1) {
+        // Closed loop, one fill at a time: back-to-back synchronous fills
+        // (transparent reconnect + retry — the restart-riding path).
         std::vector<std::uint64_t> buf(words);
         for (int r = 0; r < requests; ++r) {
           const auto t0 = std::chrono::steady_clock::now();
           tally(client.fill(lease_id, buf, &err), t0);
         }
       } else {
-        // Open loop: arrivals are a deterministic Poisson process — a
-        // per-client exponential-gap stream at rate/clients req/s. An
-        // arrival submits without waiting for earlier replies (up to
-        // `inflight` pipelined on the wire); latency runs from the
-        // scheduled arrival, so client-side queueing counts, as open-loop
-        // convention demands.
+        // Up to `inflight` fills pipelined on the wire. Closed loop: a
+        // fill is submitted as soon as the window has room, and latency
+        // runs from its submit. Open loop: arrivals are a deterministic
+        // Poisson process — a per-client exponential-gap stream at
+        // rate/clients req/s — that submits without waiting for earlier
+        // replies; latency runs from the scheduled arrival, so client-side
+        // queueing counts, as open-loop convention demands.
         std::mt19937_64 rng(seed ^
                             (0x9E3779B97F4A7C15ull *
                              (static_cast<std::uint64_t>(c) + 1)));
@@ -561,7 +566,7 @@ int run_wire(const util::Cli& cli) {
             rate / static_cast<double>(clients));
         struct InFlight {
           std::uint64_t request_id;
-          std::chrono::steady_clock::time_point arrival;
+          std::chrono::steady_clock::time_point start;
           std::size_t buf_index;
         };
         std::vector<std::vector<std::uint64_t>> bufs(
@@ -573,24 +578,28 @@ int run_wire(const util::Cli& cli) {
           window.pop_front();
           const serve::Status st =
               client.fill_wait(f.request_id, bufs[f.buf_index], &err);
-          tally(st, f.arrival);
+          tally(st, f.start);
         };
         auto next_arrival = std::chrono::steady_clock::now();
         for (int r = 0; r < requests; ++r) {
-          next_arrival += std::chrono::duration_cast<
-              std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(gap(rng)));
-          std::this_thread::sleep_until(next_arrival);
+          if (open_loop) {
+            next_arrival += std::chrono::duration_cast<
+                std::chrono::steady_clock::duration>(
+                std::chrono::duration<double>(gap(rng)));
+            std::this_thread::sleep_until(next_arrival);
+          }
           if (window.size() == static_cast<std::size_t>(inflight)) {
             settle_front();
           }
+          const auto start =
+              open_loop ? next_arrival : std::chrono::steady_clock::now();
           const std::uint64_t id = client.fill_submit(
               lease_id, static_cast<std::uint32_t>(words));
           if (id == 0) {
             failed.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
-          window.push_back({id, next_arrival,
+          window.push_back({id, start,
                             static_cast<std::size_t>(r % inflight)});
         }
         while (!window.empty()) settle_front();

@@ -368,10 +368,18 @@ HybridPrng::LeasedFill HybridPrng::fill_leased(
         static_cast<std::size_t>(serve_offset_[i + 1] - serve_offset_[i]));
   }
   // GENERATE, in fixed groups of simd::kWalkGroup walks.
+  const auto states = states_.device_span();
   for (std::size_t lo = 0; lo < draws.size(); lo += simd::kWalkGroup) {
-    serve_walk_group(draws, wpd, lo,
-                     std::min<std::size_t>(draws.size(),
-                                           lo + simd::kWalkGroup));
+    GroupWalk walks[simd::kWalkGroup];
+    const std::size_t n =
+        std::min<std::size_t>(draws.size() - lo, simd::kWalkGroup);
+    for (std::size_t l = 0; l < n; ++l) {
+      const LeasedDraw& d = draws[lo + l];
+      walks[l] = GroupWalk{&states[static_cast<std::size_t>(d.walk)],
+                           serve_bin_.data() + serve_offset_[lo + l],
+                           d.out.data(), d.out.size()};
+    }
+    walk_group({walks, n}, wpd);
   }
   for (const LeasedDraw& d : draws) {
     serve_feed_pos_[static_cast<std::size_t>(d.walk)] += wpd * d.out.size();
@@ -379,46 +387,32 @@ HybridPrng::LeasedFill HybridPrng::fill_leased(
   return res;
 }
 
-void HybridPrng::serve_walk_group(std::span<const LeasedDraw> draws,
-                                  std::uint64_t wpd, std::size_t lo,
-                                  std::size_t hi) {
+void HybridPrng::walk_group(std::span<const GroupWalk> walks,
+                            std::uint64_t wpd) const {
   simd::WalkLane lanes[simd::kWalkGroup];
-  const int n = static_cast<int>(hi - lo);
-  const std::uint32_t* bin = serve_bin_.data();
-  const auto states = states_.device_span();
-  // Listed walks differ in draw count; the lanes advance their common
-  // prefix in lockstep and each lane's ragged remainder finishes on the
-  // per-draw scalar path. Configurations the lanes cannot run have no
-  // lockstep prefix. Every draw starts on a fresh word-aligned reader over
-  // its own wpd-word slice — the per-draw budget the batched path
-  // provisions per round — so a walk's stream is invariant to how its
-  // draws are batched across fills.
+  const int n = static_cast<int>(walks.size());
+  // Every draw starts on a fresh word-aligned reader over its own wpd-word
+  // slice, so a walk's stream is invariant to how its draws are grouped.
   std::uint64_t common = simd::walk_vectorizable(cfg_.policy, cfg_.mode)
-                             ? draws[lo].out.size()
+                             ? walks[0].draws
                              : 0;
   for (int l = 0; l < n; ++l) {
-    const std::size_t i = lo + static_cast<std::size_t>(l);
-    const LeasedDraw& d = draws[i];
-    const WalkState& s = states[static_cast<std::size_t>(d.walk)];
-    lanes[l] = simd::WalkLane{s.v.x, s.v.y, bin + serve_offset_[i],
-                              d.out.data()};
-    common = std::min<std::uint64_t>(common, d.out.size());
+    const GroupWalk& w = walks[static_cast<std::size_t>(l)];
+    lanes[l] = simd::WalkLane{w.state->v.x, w.state->v.y, w.bits, w.out};
+    common = std::min(common, w.draws);
   }
   if (common > 0) {
     simd::walk_draws(lanes, n, common, static_cast<std::uint32_t>(wpd),
                      cfg_.walk_len, cfg_.policy, cfg_.finalize_output);
   }
   for (int l = 0; l < n; ++l) {
-    const std::size_t i = lo + static_cast<std::size_t>(l);
-    const LeasedDraw& d = draws[i];
-    WalkState* state = &states[static_cast<std::size_t>(d.walk)];
-    state->v = Vertex{lanes[l].x, lanes[l].y};
-    for (std::size_t j = static_cast<std::size_t>(common); j < d.out.size();
-         ++j) {
+    const GroupWalk& w = walks[static_cast<std::size_t>(l)];
+    w.state->v = Vertex{lanes[l].x, lanes[l].y};
+    for (std::uint64_t j = common; j < w.draws; ++j) {
       BitReader bits{std::span<const std::uint32_t>(
-          bin + serve_offset_[i] + j * wpd, static_cast<std::size_t>(wpd))};
-      ThreadRng rng(state, bits, &cfg_);
-      d.out[j] = rng.next();
+          w.bits + j * wpd, static_cast<std::size_t>(wpd))};
+      ThreadRng rng(w.state, bits, &cfg_);
+      w.out[j] = rng.next();
     }
   }
 }
@@ -432,47 +426,27 @@ sim::OpId HybridPrng::enqueue_batch_round(std::uint64_t threads,
   const sim::KernelCost cost{
       device_ops_for_draws(1.0),
       static_cast<double>(round.words_per_thread) * 4.0 + 8.0};
-  sim::OpId kernel;
-  if (simd::walk_vectorizable(cfg_.policy, cfg_.mode)) {
-    kernel = device_.launch_batched(
-        compute_stream_,
-        round_index == 0 ? "Generate" : "Generate+",  // same 'G' mark
-        count, cost, simd::kWalkGroup,
-        [this, round, out_span = out.device_span(), out_offset](
-            std::uint64_t lo, std::uint64_t hi) mutable {
-          simd::WalkLane lanes[simd::kWalkGroup];
-          const int n = static_cast<int>(hi - lo);
-          const std::uint32_t* bin =
-              device_bin_[round.slot].device_span().data();
-          const auto states = states_.device_span();
-          for (int l = 0; l < n; ++l) {
-            const std::size_t tid = static_cast<std::size_t>(lo) + l;
-            const WalkState& s = states[tid];
-            lanes[l] = simd::WalkLane{
-                s.v.x, s.v.y, bin + tid * round.words_per_thread,
-                out_span.data() + static_cast<std::size_t>(out_offset) + tid};
-          }
-          simd::walk_draws(lanes, n, 1,
-                           static_cast<std::uint32_t>(round.words_per_thread),
-                           cfg_.walk_len, cfg_.policy, cfg_.finalize_output);
-          for (int l = 0; l < n; ++l) {
-            const std::size_t tid = static_cast<std::size_t>(lo) + l;
-            states[tid].v = Vertex{lanes[l].x, lanes[l].y};
-          }
-        },
-        {round.ready});
-  } else {
-    kernel = device_.launch(
-        compute_stream_,
-        round_index == 0 ? "Generate" : "Generate+",  // same 'G' mark
-        count, cost,
-        [this, round, out_span = out.device_span(), out_offset](
-            std::uint64_t tid) mutable {
-          ThreadRng rng = thread_rng(round, tid);
-          out_span[static_cast<std::size_t>(out_offset + tid)] = rng.next();
-        },
-        {round.ready});
-  }
+  // One draw per thread, walked in groups of simd::kWalkGroup threads.
+  const sim::OpId kernel = device_.launch_batched(
+      compute_stream_,
+      round_index == 0 ? "Generate" : "Generate+",  // same 'G' mark
+      count, cost, simd::kWalkGroup,
+      [this, round, out_span = out.device_span(), out_offset](
+          std::uint64_t lo, std::uint64_t hi) {
+        GroupWalk walks[simd::kWalkGroup];
+        const std::uint32_t* bin =
+            device_bin_[round.slot].device_span().data();
+        const auto states = states_.device_span();
+        for (std::uint64_t tid = lo; tid < hi; ++tid) {
+          const auto t = static_cast<std::size_t>(tid);
+          walks[tid - lo] = GroupWalk{
+              &states[t], bin + t * round.words_per_thread,
+              out_span.data() + static_cast<std::size_t>(out_offset) + t, 1};
+        }
+        walk_group({walks, static_cast<std::size_t>(hi - lo)},
+                   round.words_per_thread);
+      },
+      {round.ready});
   end_round(round, kernel);
   if (metrics_ != nullptr) {
     round_records_.push_back(

@@ -275,6 +275,24 @@ class HybridPrng {
                                 std::uint64_t out_offset,
                                 std::uint64_t count);
 
+  /// One walk of a GENERATE lane group: `draws` draws of `state`, draw j
+  /// read from the wpd words at `bits + j * wpd` and written to `out[j]`.
+  struct GroupWalk {
+    expander::WalkState* state = nullptr;
+    const std::uint32_t* bits = nullptr;
+    std::uint64_t* out = nullptr;
+    std::uint64_t draws = 0;
+  };
+
+  /// GENERATE for at most simd::kWalkGroup walks — a batched round's
+  /// threads or a serve pass's listed draws: the walks advance their
+  /// common draw-count prefix in vector lockstep (simd::walk_draws) and
+  /// finish ragged per-walk remainders on the scalar per-draw path.
+  /// Configurations the lanes cannot run (simd::walk_vectorizable) take
+  /// the scalar path for every draw. Both paths are exact per draw, so
+  /// outputs do not depend on the grouping.
+  void walk_group(std::span<const GroupWalk> walks, std::uint64_t wpd) const;
+
   /// Root of walk `walk`'s serve-path counter feed (see fill_leased) —
   /// cached per walk: it is a pure function of (cfg_.seed, walk), so the
   /// two SeedSequence splits are paid once per walk, not once per fill.
@@ -331,15 +349,6 @@ class HybridPrng {
   // steady-state fills grow none of them. A fill derives its feed, walks
   // and commits feed positions only once no fault fired, so a failed
   // fill's retry replays the exact words the failure owed.
-
-  /// GENERATE for listed draws [lo, hi) (at most simd::kWalkGroup): the
-  /// walks advance their common draw-count prefix in vector lockstep
-  /// (simd::walk_draws) and finish ragged per-walk remainders on the
-  /// scalar per-draw path. Configurations the lanes cannot run
-  /// (simd::walk_vectorizable) take the scalar path for every draw. Both
-  /// paths are exact per draw, so outputs do not depend on the grouping.
-  void serve_walk_group(std::span<const LeasedDraw> draws, std::uint64_t wpd,
-                        std::size_t lo, std::size_t hi);
 
   std::vector<std::uint32_t> serve_bin_;     ///< the pass's packed feed
   std::vector<std::uint64_t> serve_offset_;  ///< packed-bin bounds, n + 1

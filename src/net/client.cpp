@@ -69,6 +69,21 @@ serve::Status read_fill_reply(const Frame& reply, std::span<std::uint64_t> out,
   return serve::Status::kOk;
 }
 
+/// Each client event's Stats slot and catalogued counter, in
+/// NetClient::Event order; nullptr where the event has no instrument.
+struct EventSlot {
+  std::uint64_t NetClient::Stats::*stat;
+  const char* instrument;
+};
+constexpr EventSlot kEvents[] = {
+    {&NetClient::Stats::connects, "hprng.net.client.connects"},
+    {&NetClient::Stats::reconnects, "hprng.net.client.reconnects"},
+    {&NetClient::Stats::requests, "hprng.net.client.requests"},
+    {&NetClient::Stats::retries, nullptr},
+    {&NetClient::Stats::timeouts, "hprng.net.client.timeouts"},
+    {&NetClient::Stats::adoptions, "hprng.net.client.adoptions"},
+};
+
 }  // namespace
 
 NetClient::NetClient(ClientOptions opts) : opts_(std::move(opts)) {
@@ -78,12 +93,18 @@ NetClient::NetClient(ClientOptions opts) : opts_(std::move(opts)) {
     endpoint_ok_ = true;
   }
   if (opts_.metrics != nullptr) {
-    ins_.connects = &opts_.metrics->counter("hprng.net.client.connects");
-    ins_.reconnects = &opts_.metrics->counter("hprng.net.client.reconnects");
-    ins_.requests = &opts_.metrics->counter("hprng.net.client.requests");
-    ins_.timeouts = &opts_.metrics->counter("hprng.net.client.timeouts");
-    ins_.adoptions = &opts_.metrics->counter("hprng.net.client.adoptions");
+    static_assert(std::size(kEvents) == kNumEvents);
+    for (std::size_t e = 0; e < kNumEvents; ++e) {
+      if (kEvents[e].instrument != nullptr) {
+        ins_[e] = &opts_.metrics->counter(kEvents[e].instrument);
+      }
+    }
   }
+}
+
+void NetClient::count(Event event) {
+  ++(stats_.*kEvents[event].stat);
+  if (ins_[event] != nullptr) ins_[event]->add();
 }
 
 NetClient::~NetClient() {
@@ -178,12 +199,8 @@ bool NetClient::connect_once(std::string* error) {
     disconnect();
     return false;
   }
-  ++stats_.connects;
-  if (ins_.connects != nullptr) ins_.connects->add();
-  if (ever_connected_) {
-    ++stats_.reconnects;
-    if (ins_.reconnects != nullptr) ins_.reconnects->add();
-  }
+  count(kConnects);
+  if (ever_connected_) count(kReconnects);
   ever_connected_ = true;
   return true;
 }
@@ -208,8 +225,7 @@ bool NetClient::readopt_leases(std::string* error) {
       disconnect();
       return false;
     }
-    ++stats_.adoptions;
-    if (ins_.adoptions != nullptr) ins_.adoptions->add();
+    count(kAdoptions);
   }
   return true;
 }
@@ -251,8 +267,7 @@ bool NetClient::send_frame(const Frame& frame) {
     }
     off += static_cast<std::size_t>(n);
   }
-  ++stats_.requests;
-  if (ins_.requests != nullptr) ins_.requests->add();
+  count(kRequests);
   return true;
 }
 
@@ -273,8 +288,7 @@ std::optional<Frame> NetClient::await(
       // A straggler reply after a timeout would answer the wrong request;
       // the only safe recovery is a fresh connection.
       if (timed_out != nullptr) *timed_out = true;
-      ++stats_.timeouts;
-      if (ins_.timeouts != nullptr) ins_.timeouts->add();
+      count(kTimeouts);
       disconnect();
       return std::nullopt;
     }
@@ -334,7 +348,7 @@ std::optional<Frame> NetClient::request(Op op, const std::string& payload,
       // EOF before any reply: the graceful-shutdown contract means the
       // request was never served, so re-issuing it cannot skip words
       // (docs/NETWORK.md §6).
-      ++stats_.retries;
+      count(kRetries);
       continue;
     }
     set_error(error, *timed_out ? std::string(what) + " timed out"
@@ -410,8 +424,7 @@ bool NetClient::adopt(std::uint64_t lease_id, std::string* error) {
   const bool ok = r.get_u8() != 0 && r.ok();
   if (ok) {
     held_.insert(lease_id);
-    ++stats_.adoptions;
-    if (ins_.adoptions != nullptr) ins_.adoptions->add();
+    count(kAdoptions);
   } else {
     set_error(error, "server refused adopt of lease " +
                          std::to_string(lease_id));

@@ -26,6 +26,7 @@
 // interleave whole requests. Pipelining depth comes from fill_submit, not
 // from concurrent threads.
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -174,13 +175,19 @@ class NetClient {
   [[nodiscard]] Stats stats() const;
 
  private:
-  struct Instruments {
-    obs::Counter* connects = nullptr;
-    obs::Counter* reconnects = nullptr;
-    obs::Counter* requests = nullptr;
-    obs::Counter* timeouts = nullptr;
-    obs::Counter* adoptions = nullptr;
+  /// Client events, one per Stats field. count() bumps an event's Stats
+  /// slot and its catalogued instrument together.
+  enum Event : std::size_t {
+    kConnects,
+    kReconnects,
+    kRequests,
+    kRetries,
+    kTimeouts,
+    kAdoptions,
+    kNumEvents,
   };
+
+  void count(Event event);  // mu_ held
 
   /// Dial + hello + re-adopt held leases. mu_ held.
   bool ensure_connected(std::string* error);
@@ -214,7 +221,9 @@ class NetClient {
   Endpoint endpoint_;
   bool endpoint_ok_ = false;
   std::string endpoint_error_;
-  Instruments ins_;
+  /// Each event's `hprng.net.client.*` counter; null without a registry
+  /// or for an event with no instrument of its own.
+  std::array<obs::Counter*, kNumEvents> ins_{};
 
   mutable std::mutex mu_;
   int fd_ = -1;

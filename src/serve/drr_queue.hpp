@@ -21,7 +21,10 @@
 //
 // Admission is one non-blocking rule: try_push() reports kFull at
 // capacity and the caller rejects (docs/SERVING.md §4). Nothing ever
-// waits for queue space, and nothing already queued is evicted.
+// waits for queue space, and nothing already queued is evicted. Nothing
+// popped comes back either: each item is popped, and charged deficit,
+// exactly once (a failed serve is retried by the consumer that popped
+// it).
 // push_or_take() is the same admission, except that an idle queue pops
 // the item at once for the caller to serve itself.
 
@@ -124,31 +127,6 @@ class DrrQueue {
     return n;
   }
 
-  /// Head-of-line requeue for the retry/failover path: the items return,
-  /// in their given order, to the FRONT of their tenants' sub-queues and
-  /// those tenants move to the ring front, so already-admitted,
-  /// already-scheduled requests are the next thing any worker sees. All
-  /// items go back under one lock hold, so no consumer can pop a later
-  /// request of a session before an earlier one is back. Ignores capacity
-  /// and closed: the items passed admission once, and a closing service
-  /// still drains them.
-  void requeue_front(std::vector<T> items) {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (auto it = items.rbegin(); it != items.rend(); ++it) {
-      const std::uint64_t tenant = tenant_of_(*it);
-      Sub& sub = subs_[tenant];
-      sub.items.push_front(std::move(*it));
-      ++total_;
-      ring_remove(tenant);
-      ring_.push_front(tenant);
-      // Requeued work is served on arrears, not fresh credit: keep the
-      // deficit as-is but force a visit so the grant covers the head.
-      sub.visited = false;
-    }
-    if (on_size_change_) on_size_change_(total_);
-    not_empty_.notify_all();
-  }
-
   /// Invoked with the new total size, under the queue lock, whenever it
   /// changes — so a gauge updated from here equals size() exactly at any
   /// quiescent fence. Install before any concurrent use.
@@ -242,26 +220,15 @@ class DrrQueue {
         sub.deficit -= cost;
         --total_;
         if (on_pop_) on_pop_(tenant, item);
-        if (sub.items.empty()) drop_tenant(tenant);
+        if (sub.items.empty()) {  // the served tenant is the ring front
+          subs_.erase(tenant);
+          ring_.pop_front();
+        }
         return item;
       }
       sub.visited = false;
       ring_.pop_front();
       ring_.push_back(tenant);
-    }
-  }
-
-  void drop_tenant(std::uint64_t tenant) {
-    subs_.erase(tenant);
-    ring_remove(tenant);
-  }
-
-  void ring_remove(std::uint64_t tenant) {
-    for (auto it = ring_.begin(); it != ring_.end(); ++it) {
-      if (*it == tenant) {
-        ring_.erase(it);
-        return;
-      }
     }
   }
 

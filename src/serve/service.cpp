@@ -36,9 +36,9 @@ constexpr std::uint64_t kBackoffJitterDomain = ~std::uint64_t{0} - 1;
 /// holds the caller, for a wire fill the NetServer loop, for ~80 µs.
 constexpr std::size_t kInPlaceMaxWords = 256;
 
-/// Each popped request retires once, as soon as its serving thread is
-/// done with it, so a successor of its session popped by another worker
-/// waits no longer (RngService::serve_batch).
+/// Each popped request retires once, when its serving thread settles or
+/// drops it, so a successor of its session popped by another worker waits
+/// no longer (RngService::serve_batch).
 void retire(const detail::Request& req) {
   req.session->retired.fetch_add(1, std::memory_order_release);
   req.session->retired.notify_all();
@@ -345,8 +345,9 @@ RngService::RequestPtr RngService::submit(
   // once. Admission never waits, so no caller — least of all the wire
   // front-end's poll loop — can stall here. An idle service takes a small
   // fill of a session it has served before and serves it right here, as a
-  // batch of one: with nothing queued and nothing in flight, every request
-  // the session ever popped has retired, so its stream order holds.
+  // batch of one, retries included: with nothing queued and nothing in
+  // flight, every request the session ever popped has retired, so its
+  // stream order holds.
   const bool small = out.size() <= kInPlaceMaxWords;
   switch (queue_.push_or_take(req, &serving_, [small](const RequestPtr& r) {
     return small && r->session->popped > 0;  // popped: under the queue lock
@@ -380,8 +381,9 @@ Status RngService::wait(const RequestPtr& req) {
   // Deadline passed while still queued. Try to abandon the request so no
   // worker ever touches `out` (whose storage the caller may now reclaim).
   if (abandon(req)) return Status::kTimeout;
-  // A worker claimed it first: it is being served (or settled) right now —
-  // wait out the completion.
+  // A worker claimed it first: it is being served (or settled) right now,
+  // and a claimed request is only ever served, shed or failed by the
+  // thread that claimed it — wait out the completion.
   std::unique_lock<std::mutex> lk(req->mu);
   req->cv.wait(lk, [&] { return req->done; });
   return req->status;
@@ -494,10 +496,8 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
   // worker) cannot expire requests mid-iteration.
   const auto now = std::chrono::steady_clock::now();
 
-  // Claim what is still live and group it by the owning session's CURRENT
-  // shard (the lease is mutable under failover — read under its lock).
-  std::vector<std::vector<RequestPtr>> by_shard(shards_.size());
-  for (RequestPtr& req : batch) {
+  // Claim what is still live; the batch keeps only the claimed requests.
+  std::erase_if(batch, [&](const RequestPtr& req) {
     int expected = detail::Request::kPending;
     if (now >= req->deadline) {
       // Expired in the queue: shed it (unless the waiter got there first).
@@ -508,7 +508,7 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
       } else {
         retire(*req);
       }
-      continue;
+      return true;
     }
     if (!req->phase.compare_exchange_strong(expected,
                                             detail::Request::kClaimed,
@@ -516,23 +516,48 @@ void RngService::serve_batch(std::vector<RequestPtr>& batch) {
       // Abandoned by its waiter: the span is off limits, and the waiter
       // may be reading `session` to settle it, so leave that alone too.
       retire(*req);
-      continue;
+      return true;
     }
-    int shard = 0;
-    {
-      std::lock_guard<std::mutex> lk(req->session->mu);
-      shard = req->session->lease.shard;
-    }
-    by_shard[static_cast<std::size_t>(shard)].push_back(req);
-  }
+    return false;
+  });
 
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    serve_shard_group(s, by_shard[s]);
+  // A claimed request stays on this thread until it settles. Each round
+  // groups what is left by the owning session's CURRENT shard (the lease
+  // is mutable under failover — read under its lock) and serves the
+  // groups; a pass that fails for good hands back its displaced tail,
+  // which is moved off an ejected shard and served again next round, in
+  // the same order, so each session's stream stays sequential.
+  while (!batch.empty()) {
+    std::vector<std::vector<RequestPtr>> by_shard(shards_.size());
+    for (RequestPtr& req : batch) {
+      int shard = 0;
+      {
+        std::lock_guard<std::mutex> lk(req->session->mu);
+        shard = req->session->lease.shard;
+      }
+      by_shard[static_cast<std::size_t>(shard)].push_back(std::move(req));
+    }
+    batch.clear();
+    for (std::size_t s = 0; s < by_shard.size(); ++s) {
+      serve_shard_group(s, by_shard[s], &batch);
+    }
+    const auto retry_now = std::chrono::steady_clock::now();
+    std::erase_if(batch, [&](const RequestPtr& req) {
+      if (!failover_session(req->session)) {
+        finish(req, Status::kFailed);
+      } else if (retry_now >= req->deadline) {
+        finish(req, Status::kShed);
+      } else {
+        return false;
+      }
+      return true;
+    });
   }
 }
 
 void RngService::serve_shard_group(std::size_t s,
-                                   std::vector<RequestPtr>& group) {
+                                   std::vector<RequestPtr>& group,
+                                   std::vector<RequestPtr>* displaced) {
   if (group.empty()) return;
 
   // A backend fill takes each slot at most once, so a session with two
@@ -543,21 +568,17 @@ void RngService::serve_shard_group(std::size_t s,
     std::vector<RequestPtr> reqs;
   };
   std::vector<Pass> passes;
-  std::vector<RequestPtr> served;     ///< settled kOk once the lock is off
-  std::vector<RequestPtr> displaced;  ///< claimed but not served here
+  std::vector<RequestPtr> served;  ///< settled kOk once the lock is off
   for (RequestPtr& req : group) {
     std::uint64_t slot = 0;
-    bool moved = false;
     {
       std::lock_guard<std::mutex> lk(req->session->mu);
-      moved = req->session->lease.shard != static_cast<int>(s);
+      // Only the thread holding a session's claimed requests fails it
+      // over, and the serve-order wait keeps every other thread off the
+      // session until they retire: the lease cannot move under a group.
+      HPRNG_CHECK(req->session->lease.shard == static_cast<int>(s),
+                  "serve_shard_group: lease moved between claim and serve");
       slot = req->session->lease.slot;
-    }
-    if (moved) {
-      // The lease failed over between claim and serve: let the request
-      // re-route through the queue to its session's new shard.
-      displaced.push_back(req);
-      continue;
     }
     Pass* target = nullptr;
     for (Pass& pass : passes) {
@@ -589,8 +610,9 @@ void RngService::serve_shard_group(std::size_t s,
       if (abandon_rest) {
         // A session whose earlier pass failed may have later requests in
         // this tail: serving them now would reorder its stream, so the
-        // whole tail is displaced (requeued in order below).
-        displaced.insert(displaced.end(), pass.reqs.begin(), pass.reqs.end());
+        // whole tail is displaced, in order.
+        displaced->insert(displaced->end(), pass.reqs.begin(),
+                          pass.reqs.end());
         continue;
       }
 
@@ -617,7 +639,8 @@ void RngService::serve_shard_group(std::size_t s,
       if (!result.ok) {
         record_shard_failure(s);
         abandon_rest = true;
-        displaced.insert(displaced.end(), pass.reqs.begin(), pass.reqs.end());
+        displaced->insert(displaced->end(), pass.reqs.begin(),
+                          pass.reqs.end());
         continue;
       }
       health_[s].consecutive_failures.store(0, std::memory_order_release);
@@ -644,23 +667,6 @@ void RngService::serve_shard_group(std::size_t s,
   // finish() may drop the last session reference, which takes the shard
   // lock: so both happen here, after it is released.
   for (const RequestPtr& req : served) finish(req, Status::kOk);
-  if (displaced.empty()) return;
-  // Re-route the displaced tail: move sessions off an ejected shard, then
-  // hand the requests back to the queue head in one step, in their
-  // original order, which keeps multi-request sessions' streams
-  // sequential. They retire only once they are back in the queue.
-  std::vector<RequestPtr> requeue;
-  requeue.reserve(displaced.size());
-  for (RequestPtr& req : displaced) {
-    if (!failover_session(req->session)) {
-      finish(req, Status::kFailed);
-      continue;
-    }
-    req->phase.store(detail::Request::kPending, std::memory_order_release);
-    requeue.push_back(req);
-  }
-  queue_.requeue_front(requeue);
-  for (const RequestPtr& req : requeue) retire(*req);
 }
 
 void RngService::record_shard_failure(std::size_t s) {

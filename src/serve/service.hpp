@@ -64,11 +64,12 @@ namespace detail {
 /// One in-flight fill request, shared between the submitting client and
 /// the worker serving it — whichever side finishes last keeps it alive.
 struct Request {
-  /// Claim protocol: exactly one party wins the CAS away from kPending.
-  /// A worker claims kPending -> kClaimed before touching `out`; a
-  /// timed-out waiter (or a worker finding the deadline already passed)
-  /// claims kPending -> kAbandoned, after which no worker may touch `out`
-  /// (the caller's buffer may be gone).
+  /// Claim protocol: exactly one party wins the CAS away from kPending,
+  /// and no request ever returns to it. A worker claims kPending ->
+  /// kClaimed before touching `out` and keeps the request until it
+  /// settles; a timed-out waiter (or a worker finding the deadline already
+  /// passed) claims kPending -> kAbandoned, after which no worker may
+  /// touch `out` (the caller's buffer may be gone).
   enum Phase : int { kPending = 0, kClaimed, kAbandoned };
 
   /// Keeps the lease alive while the request is pending. Whoever serves
@@ -242,7 +243,7 @@ class RngService {
     std::uint64_t retries = 0;       ///< extra fill attempts after failures
     std::uint64_t failovers = 0;     ///< leases moved off ejected shards
     /// Fills an idle service took to serve on the submitting thread
-    /// (docs/SERVING.md §4); a failed in-place pass requeues its fill.
+    /// (docs/SERVING.md §4); a failed in-place pass is retried there too.
     std::uint64_t served_in_place = 0;
     std::uint64_t shards_ejected = 0;
     std::size_t queue_depth = 0;
@@ -465,8 +466,10 @@ class RngService {
   void release_lease(const Lease& lease);
   void worker_loop();
   /// Serve popped requests: wait out the session order, claim, then one
-  /// serve_shard_group per shard. A worker's batch, or a fill taken in
-  /// place by submit() as a batch of one.
+  /// serve_shard_group per shard, repeated on this thread for any
+  /// displaced tail (after failover) until every claimed request is
+  /// served, shed at its deadline or failed. A worker's batch, or a fill
+  /// taken in place by submit() as a batch of one.
   void serve_batch(std::vector<RequestPtr>& batch);
   /// After serve_batch: drop the batch's references and lower serving_,
   /// waking pause() and drain().
@@ -475,11 +478,13 @@ class RngService {
   /// Never under a shard mutex: the dropped reference may be the last,
   /// and releasing the lease takes the shard's mutex.
   void finish(const RequestPtr& req, Status status);
-  /// Serve one shard's claimed requests: split into unique-slot passes,
-  /// fill each with bounded retry + backoff, and on a persistent failure
-  /// displace the unserved tail (failover / requeue / kFailed). Retires
-  /// every request of the group; settles once the shard mutex is off.
-  void serve_shard_group(std::size_t s, std::vector<RequestPtr>& group);
+  /// Serve one shard's claimed requests: split into unique-slot passes
+  /// and fill each with bounded retry + backoff. A pass that fails for
+  /// good appends itself and every later pass, in order, to `displaced`
+  /// for serve_batch's next round; the served ones retire and settle
+  /// once the shard mutex is off.
+  void serve_shard_group(std::size_t s, std::vector<RequestPtr>& group,
+                         std::vector<RequestPtr>* displaced);
   /// Mark one failed pass on shard `s` (ejecting it at the threshold).
   void record_shard_failure(std::size_t s);
   void eject_shard(std::size_t s);

@@ -427,7 +427,7 @@ std::vector<std::uint64_t> two_fills(fault::Injector* injector,
   return words;
 }
 
-TEST(ServeFaults, FailedInPlacePassFallsBackToTheQueue) {
+TEST(ServeFaults, FailedInPlacePassRetriesOnTheCaller) {
   bool on_caller = false;
   serve::RngService::Stats clean_stats;
   const std::vector<std::uint64_t> clean =
@@ -436,23 +436,24 @@ TEST(ServeFaults, FailedInPlacePassFallsBackToTheQueue) {
   EXPECT_EQ(clean_stats.retries, 0u);
 
   // Shard 0's dispatches 1 and 2 (the in-place pass and its one retry)
-  // drop: the pass fails for good and the fill is requeued to a worker.
+  // drop: the pass fails for good, and the submitting thread serves the
+  // fill again itself (dispatch 3) instead of handing it to a worker.
   FaultPlan plan;
   plan.add({Site::kShardFill, 0, 1, 2, Action::kFail, 0.0});
   Injector injector(plan);
   serve::RngService::Stats stats;
   const std::vector<std::uint64_t> words =
       two_fills(&injector, &on_caller, &stats);
-  EXPECT_FALSE(on_caller) << "the requeued fill settled on the caller";
+  EXPECT_TRUE(on_caller) << "the retried fill left the caller";
   EXPECT_EQ(words, clean) << "the retried fill changed the stream";
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.batches, 2u);
   EXPECT_EQ(injector.events(Site::kShardFill, 0), 4u);
-  // Two worker batches (the first fill and the requeued second); the
-  // in-place attempt consults no worker site.
-  EXPECT_EQ(injector.events(Site::kWorker, 0), 2u);
+  // One worker batch (the first fill); the in-place attempt and its
+  // second pass consult no worker site.
+  EXPECT_EQ(injector.events(Site::kWorker, 0), 1u);
 }
 
 }  // namespace

@@ -401,5 +401,36 @@ TEST(HybridPrng, ScalarServeStreamsArePinned) {
   }
 }
 
+TEST(HybridPrng, ScalarBatchedStreamsArePinned) {
+  // The batched generate() rounds of the configurations the SIMD lanes
+  // cannot run, hashed per config: 250 words over 13 threads (19 full
+  // rounds and a 3-thread tail; two lane groups a round), walk length 11.
+  struct Case {
+    expander::NeighborPolicy policy;
+    expander::WalkMode mode;
+    std::uint64_t hash;
+  };
+  for (const Case& c :
+       {Case{expander::NeighborPolicy::kRejection,
+             expander::WalkMode::kForwardOnly, 0xe0235cc3c03dc352ull},
+        Case{expander::NeighborPolicy::kMod7,
+             expander::WalkMode::kAlternating, 0xde0547497c2827a7ull}}) {
+    sim::Device dev;
+    HybridPrngConfig cfg;
+    cfg.seed = 0x5EEDFACEu;
+    cfg.walk_len = 11;
+    cfg.policy = c.policy;
+    cfg.mode = c.mode;
+    HybridPrng prng(dev, cfg);
+    const std::vector<std::uint64_t> words =
+        prng.generate(250, /*batch_size=*/20);
+    ASSERT_EQ(words.size(), 250u);
+    EXPECT_EQ(fnv1a(words), c.hash)
+        << "policy=" << static_cast<int>(c.policy)
+        << " mode=" << static_cast<int>(c.mode) << std::hex
+        << " got 0x" << fnv1a(words);
+  }
+}
+
 }  // namespace
 }  // namespace hprng::core

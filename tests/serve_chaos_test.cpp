@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -222,16 +223,20 @@ TEST(ServeChaos, WorkerDelaysOnlyPerturbWallClock) {
 
 /// Queue `kTickets` async fills of one session pinned to shard 0 while the
 /// service is paused, so on resume one worker pops them as ONE batch: four
-/// passes on one shard. Returns the session's concatenated words.
+/// passes on one shard. Returns the session's concatenated words;
+/// `*pops` counts the DRR schedule's pops.
 std::vector<std::uint64_t> run_queued_passes(fault::Injector* injector,
                                              serve::RngService::Stats* stats,
-                                             int* healthy_shards) {
+                                             int* healthy_shards, int* pops) {
   constexpr int kTickets = 4;
   constexpr std::size_t kWords = 16;
   auto opts = chaos_options("hybrid");
   opts.max_coalesce = kTickets;
   opts.injector = injector;
   serve::RngService service(opts);
+  std::atomic<int> popped{0};
+  service.set_drr_observer(
+      [&](std::uint64_t, std::size_t) { popped.fetch_add(1); });
   auto session = service.try_open_session(0);
   EXPECT_TRUE(session.has_value());
   if (!session.has_value()) return {};
@@ -254,36 +259,87 @@ std::vector<std::uint64_t> run_queued_passes(fault::Injector* injector,
   service.drain();
   *stats = service.stats();
   *healthy_shards = service.healthy_shards();
+  *pops = popped.load();
   return words;
 }
 
-TEST(ServeChaos, FailedPassRequeuesItsSessionTailInOrder) {
-  // The third of four same-session passes fails both attempts: the serial
-  // retry loop abandons the rest of the group and requeues passes 3 and 4
-  // at the queue head, in order. The session's words must come out exactly
-  // as in a fault-free run.
+TEST(ServeChaos, FailedPassServesItsSessionTailInOrderOnItsThread) {
+  // The third of four same-session passes fails both attempts: the worker
+  // that popped the batch serves passes 3 and 4 again itself, in order,
+  // without handing them back to the queue. The session's words must come
+  // out exactly as in a fault-free run, and each fill is popped once.
   serve::RngService::Stats clean_stats;
   int clean_healthy = 0;
+  int clean_pops = 0;
   const std::vector<std::uint64_t> clean =
-      run_queued_passes(nullptr, &clean_stats, &clean_healthy);
+      run_queued_passes(nullptr, &clean_stats, &clean_healthy, &clean_pops);
   ASSERT_EQ(clean_stats.completed, 4u);
+  EXPECT_EQ(clean_pops, 4);
 
   auto plan = fault::FaultPlan::parse("shard:0:fail:2:2");
   ASSERT_TRUE(plan.has_value());
   fault::Injector injector(*plan);
   serve::RngService::Stats stats;
   int healthy = 0;
+  int pops = 0;
   const std::vector<std::uint64_t> words =
-      run_queued_passes(&injector, &stats, &healthy);
+      run_queued_passes(&injector, &stats, &healthy, &pops);
 
-  EXPECT_EQ(words, clean) << "the requeued tail reordered the stream";
+  EXPECT_EQ(words, clean) << "the retried tail reordered the stream";
   EXPECT_EQ(stats.completed, 4u);
   EXPECT_EQ(stats.submitted, conserved_total(stats));
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.shards_ejected, 0u);
   EXPECT_EQ(healthy, 4);
-  // Passes 1, 2, 3 (twice), then the requeued 3 and 4: six dispatches.
+  // Passes 1, 2, 3 (twice), then 3 and 4 served again: six dispatches.
   EXPECT_EQ(injector.events(fault::Site::kShardFill, 0), 6u);
+  // Each admitted fill is popped, and charged DRR deficit, exactly once.
+  EXPECT_EQ(pops, 4) << "a retried fill went back through the queue";
+}
+
+/// Two 16-word fills of one cpu-walk session pinned to shard 0, queued
+/// while the service is paused. With two workers and max_coalesce 1, each
+/// worker pops one of them; the second worker waits until the first fill
+/// retires. Returns both fills' words in submission order.
+std::vector<std::uint64_t> run_split_session(fault::Injector* injector) {
+  auto opts = chaos_options("cpu-walk");
+  opts.num_workers = 2;
+  opts.max_coalesce = 1;
+  opts.max_fill_retries = 0;
+  opts.shard_eject_failures = 3;
+  opts.injector = injector;
+  serve::RngService service(opts);
+  auto session = service.try_open_session(0);
+  EXPECT_TRUE(session.has_value());
+  if (!session.has_value()) return {};
+
+  std::vector<std::uint64_t> words(32);
+  const std::span<std::uint64_t> all(words);
+  service.pause();
+  serve::Ticket first = session->fill_async(all.first(16), 30s);
+  serve::Ticket second = session->fill_async(all.last(16), 30s);
+  service.resume();
+  EXPECT_EQ(first.wait(), serve::Status::kOk);
+  EXPECT_EQ(second.wait(), serve::Status::kOk);
+  service.drain();
+  return words;
+}
+
+TEST(ServeChaos, AFailedPassIsServedBeforeItsSessionsNextFill) {
+  // The first fill's pass stalls 50 ms and then fails for good (no
+  // retries), while the other worker holds the session's second fill.
+  // The failed fill must still get the session's first 16 words.
+  const std::vector<std::uint64_t> clean = run_split_session(nullptr);
+  ASSERT_EQ(clean.size(), 32u);
+  for (int round = 0; round < 20; ++round) {
+    auto plan = fault::FaultPlan::parse(
+        "shard:0:fail:0:1;shard:0:delay:0:1:0.05");
+    ASSERT_TRUE(plan.has_value());
+    fault::Injector injector(*plan);
+    ASSERT_EQ(run_split_session(&injector), clean)
+        << "round " << round << ": the session's fills came out reordered";
+    EXPECT_EQ(injector.events(fault::Site::kShardFill, 0), 3u);
+  }
 }
 
 TEST(ServeChaos, RandomizedPlanConservesEveryRequest) {
