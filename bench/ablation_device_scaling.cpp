@@ -95,6 +95,7 @@ int main(int argc, char** argv) {
   // the batch baseline gains.
   const bool shape = single.hybrid_ms > 2.0 * c1060.hybrid_ms &&
                      hybrid_gain < 1.15 && mt_gain > 1.15;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "hybrid time ~flat across C1060 -> C2050 (feed-bound) "
                  "while the batch baseline scales with the device");

@@ -78,6 +78,7 @@ int main(int argc, char** argv) {
   // One-off borderline p-values (0.005-0.01) are noise at a 0.01/0.99 pass
   // band; require near-parity plus a near-perfect absolute score.
   const bool shape = lcg_walk + 1 >= lcg_raw && lcg_walk >= 13;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "walk-on-lcg passes at least as much as the raw LCG and "
                  "nearly everything overall");

@@ -74,6 +74,7 @@ int main(int argc, char** argv) {
   if (cli.has("trace-json")) bench::export_trace_json(cli, trace);
 
   const bool shape = min_passed >= 12;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "all three policies yield statistically sound streams at "
                  "the default l; the choice is a budget/bias trade, not a quality "

@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
   if (cli.has("trace-json")) bench::export_trace_json(cli, trace);
 
   const bool shape = passed_l16 >= 13 && passed_l1 <= 11;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "short walks fail the battery, l >= 16 passes cleanly; "
                  "the optional finaliser substantially helps from l >= 4 "

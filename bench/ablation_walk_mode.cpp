@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
   bench::export_metrics_json(cli, metrics);
 
   const bool shape = forward_passed >= 13 && alternating_passed <= 9;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "forward-only passes the battery, alternating collapses");
   return shape ? 0 : 1;

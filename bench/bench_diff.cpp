@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench/bench_diff.hpp"
+#include "bench/common.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -25,6 +26,7 @@ int main(int argc, char** argv) {
       hprng::bench::split_keys(cli.get_string("keys", ""));
   const double min_ratio = cli.get_double("min-ratio", 0.1);
   const std::string report_path = cli.get_string("report", "");
+  if (!hprng::bench::reject_unread_flags(cli)) return 2;
 
   if (baseline_path.empty() || current_path.empty() || keys.empty()) {
     std::fprintf(stderr,

@@ -11,14 +11,19 @@
 // BENCH_*.json trajectories reproducible from CI (docs/OBSERVABILITY.md).
 
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/backend.hpp"
+#include "serve/options.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -161,6 +166,68 @@ inline bool reject_unread_flags(const util::Cli& cli) {
     std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
   }
   return unread.empty();
+}
+
+/// The --backend names the serve registry accepts (docs/BACKENDS.md §1),
+/// '|'-separated, so help and error text cannot drift from the registry.
+inline std::string backend_values() {
+  std::string out;
+  for (const std::string& name : serve::known_backends()) {
+    if (!out.empty()) out += '|';
+    out += name;
+  }
+  return out;
+}
+
+/// Read the service-shape flags the serving binaries share into `opts`:
+/// --backend --shards --slots --workers --capacity --coalesce --walk-len
+/// --seed --timeout-ms. The default --slots gives the shards room for
+/// `lease_demand` leases between them; a demand of 0 keeps opts' own slot
+/// count. False, after printing why, on an unknown --backend.
+inline bool read_service_shape(const util::Cli& cli,
+                               std::uint64_t lease_demand,
+                               serve::ServiceOptions* opts) {
+  opts->backend = cli.get_string("backend", "hybrid");
+  if (!serve::backend_known(opts->backend)) {
+    std::fprintf(stderr, "unknown --backend=%s (one of: %s)\n",
+                 opts->backend.c_str(), backend_values().c_str());
+    return false;
+  }
+  opts->num_shards = static_cast<int>(cli.get_u64("shards", 4));
+  const auto shards = static_cast<std::uint64_t>(opts->num_shards);
+  opts->max_leases_per_shard = cli.get_u64(
+      "slots", lease_demand == 0 ? opts->max_leases_per_shard
+                                 : (lease_demand + shards - 1) / shards);
+  opts->num_workers = static_cast<int>(cli.get_u64("workers", 4));
+  opts->queue_capacity = cli.get_u64("capacity", 256);
+  opts->max_coalesce = cli.get_u64("coalesce", 8);
+  // The serving default (walk_len 8) trades battery quality for fill
+  // throughput; the quality-certified configuration is 32 (Table III,
+  // docs/QUALITY.md §3) — the scrub CI job passes --walk-len=32.
+  opts->walk_len = static_cast<int>(
+      cli.get_u64("walk-len", static_cast<std::uint64_t>(opts->walk_len)));
+  opts->seed = cli.get_u64("seed", opts->seed);
+  opts->default_timeout =
+      std::chrono::milliseconds(cli.get_u64("timeout-ms", 30000));
+  return true;
+}
+
+/// Parse --fault-plan (docs/FAULTS.md §3) into `injector`; without the
+/// flag `injector` stays empty. False, after printing why, on a malformed
+/// plan.
+inline bool read_fault_plan(const util::Cli& cli,
+                            std::optional<fault::Injector>* injector) {
+  const std::string text = cli.get_string("fault-plan", "");
+  if (text.empty()) return true;
+  std::string error;
+  std::optional<fault::FaultPlan> plan = fault::FaultPlan::parse(text, &error);
+  if (!plan.has_value()) {
+    std::fprintf(stderr, "bad --fault-plan=%s: %s (see docs/FAULTS.md)\n",
+                 text.c_str(), error.c_str());
+    return false;
+  }
+  injector->emplace(std::move(*plan));
+  return true;
 }
 
 }  // namespace hprng::bench

@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
               "(Table III, paper row 'M.Twister 13/15').\n");
 
   const bool shape = hybrid_passed == 5 && mt_passed <= 4;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "hybrid passes all five statistics; MT19937 fails the "
                  "long-block linear complexity");

@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
 
   const bool shape = pure_cpu_busy < 0.05 && hyb_cpu_busy > 0.9 &&
                      hyb_gpu_busy > 0.5;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "pure device leaves the CPU ~idle; the hybrid keeps both "
                  "processors busy");

@@ -181,6 +181,7 @@ int main(int argc, char** argv) {
     bench::export_bench_json(cli, json);
   }
 
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape, "hybrid fastest at every size, baselines ~2x slower");
   return shape ? 0 : 1;
 }

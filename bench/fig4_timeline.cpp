@@ -114,6 +114,7 @@ int main(int argc, char** argv) {
   }
 
   const bool shape = cpu_idle < 0.10 && gpu_idle > 0.05 && gpu_idle < 0.45;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "CPU busy ~always, GPU idle in the vicinity of 20%, "
                  "transfers negligible");

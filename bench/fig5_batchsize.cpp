@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
   // Shape: interior minimum (U curve) within S in [20, 1000].
   const bool interior = best > 0 && best + 1 < times.size();
   const bool near_paper = batches[best] >= 20 && batches[best] <= 1000;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(interior && near_paper,
                  "U-shaped with an interior minimum near S = 100");
   return interior && near_paper ? 0 : 1;

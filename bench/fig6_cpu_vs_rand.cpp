@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
   // staying below it for large N ("scales up well compared to rand()").
   const bool wins_at_scale =
       walk_wins[walk_wins.size() - 1] && walk_wins[walk_wins.size() - 2];
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(wins_at_scale,
                  "the thread-safe walker across the host's hardware threads "
                  "beats rand() at the large-N end (rand() cannot scale)");

@@ -93,6 +93,7 @@ int main(int argc, char** argv) {
   if (cli.has("trace-json")) bench::export_trace_json(cli, trace);
 
   const bool shape = ordering && mean_win > 15.0;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "our-PRNG < glibc-pregen < pure-GPU-MT at every size, "
                  "with a substantial on-demand win");

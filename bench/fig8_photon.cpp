@@ -87,6 +87,7 @@ int main(int argc, char** argv) {
   if (cli.has("trace-json")) bench::export_trace_json(cli, trace);
 
   const bool shape = hybrid_wins && mean_win > 8.0;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "hybrid below original at every photon count with a win "
                  "in the vicinity of 20%");

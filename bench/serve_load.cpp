@@ -1,21 +1,38 @@
-// Serving-layer load bench (docs/SERVING.md §6): a closed-loop population
-// of client threads hammers an RngService — each client leases a substream
-// and issues back-to-back fill requests — while the `hprng.serve.*`
-// instruments report queue behaviour and latency. The acceptance run
-// sustains >= 32 clients against a sharded hybrid pool and reports p50/p99
-// request latency plus rejected/shed counts straight from the registry.
+// Serving-layer load bench (docs/SERVING.md §6): a population of client
+// threads drives an RngService — each client holds one leased substream
+// and issues fill requests — while the service's instruments report queue
+// behaviour. The acceptance run sustains >= 32 clients against a sharded
+// hybrid pool and reports p50/p99 request latency plus rejected/shed
+// counts.
+//
+// Both modes run the same client loop over a port: an in-process
+// serve::Session by default, or a net::NetClient connection with --listen
+// or --connect. Latency is measured client-side in both, from submit
+// (closed loop) or from the scheduled arrival (open loop) until the
+// client collects the reply, and reported as order statistics of every
+// request's sample, so the two modes' figures compare directly.
 //
 // Flags: --clients --requests --n (words per request) --shards --slots
 //        --workers --capacity (a full queue rejects) --coalesce
 //        --timeout-ms --backend=NAME (serve registry, docs/BACKENDS.md) --seed
-//        --inflight=K  async requests each client keeps outstanding
+//        --inflight=K  requests each client keeps outstanding
 //                      (K >= 2 queues one session's requests back to back:
 //                      a worker coalescing them serves one pass each, in
-//                      order)
+//                      order; K = 1 in the closed loop issues synchronous
+//                      fills, which over the wire reconnect and retry on
+//                      their own — the restart demo's path)
+//        --open-loop    Poisson arrivals instead of the closed loop:
+//                       --rate=R total requests/second, split across
+//                       clients, gaps drawn from a deterministic
+//                       per-client exponential stream (same --seed =
+//                       same arrival schedule)
 //        --metrics-json=<path>
-//        --bench-json=<path>  flat perf summary (BENCH_serve.json in CI)
+//        --bench-json=<path>  flat perf summary (BENCH_serve.json and
+//                             BENCH_net.json in CI)
 //        --fault-plan=<plan>  deterministic chaos run (docs/FAULTS.md §3),
 //                             e.g. --fault-plan="shard:1:fail:0:1000000"
+//
+// Local mode (in-process Sessions):
 //        --checkpoint-every=MS  periodic snapshots while the load runs
 //                               (docs/STATE.md §6; a final checkpoint is
 //                               taken after the run so the file is usable
@@ -26,6 +43,7 @@
 //                               of fresh options: restored leases are
 //                               adopted first, extra clients lease fresh
 //                               slots; service-shape flags are ignored
+//        --scrub-tier ... --quality-json  quality scrubbing (--help)
 //
 // Tenancy (docs/QOS.md §8): a heavy-tail tenant population over the same
 // client threads — client c maps to tenant 1..N by the inverse Zipf CDF,
@@ -42,28 +60,17 @@
 //                          compliant tenants' service intact — the
 //                          fairness property the qos-fairness CI job and
 //                          serve_qos_chaos_test pin.
-//        --tenant-json=PATH  per-tenant results JSON (the CI fairness
-//                          artifact: per-tenant counters, latency
+//        --tenant-json=PATH  per-tenant results JSON, local mode (the CI
+//                          fairness artifact: per-tenant counters, latency
 //                          quantiles and the top-K offender report)
 //        --help  print the flag listing and exit
 //
-// Wire mode (docs/NETWORK.md): with --listen or --connect the same load
-// shapes run through net::NetClient instead of in-process Sessions —
-// every fill crosses the frame protocol, so this is the harness that
-// produces BENCH_net.json and drives the multi-process rolling-restart
-// demo against a serve_net process.
+// Wire mode (docs/NETWORK.md): every fill crosses the frame protocol, so
+// this is the harness that produces BENCH_net.json and drives the
+// multi-process rolling-restart demo against a serve_net process.
 //        --listen=EP    host a NetServer in-process and aim the clients
 //                       at it (self-contained wire bench)
 //        --connect=EP   aim the clients at an external server (serve_net)
-//        --inflight=K   fills each client keeps pipelined on its
-//                       connection; K = 1 in the closed loop issues
-//                       synchronous fills, the only ones that reconnect
-//                       and retry on their own (the restart demo's path)
-//        --open-loop    Poisson arrivals instead of the closed loop:
-//                       --rate=R total requests/second, split across
-//                       clients, gaps drawn from a deterministic
-//                       per-client exponential stream (same --seed =
-//                       same arrival schedule)
 //        --keep-leases  do not release leases at the end: the server
 //                       parks them as orphans, so a serve_net shutdown
 //                       checkpoint carries them and a --restore-from
@@ -73,18 +80,18 @@
 //        --max-pending-fills=N   in-process server shape
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -93,7 +100,6 @@
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "quality/quality.hpp"
-#include "serve/backend.hpp"
 #include "serve/service.hpp"
 #include "simd/simd.hpp"
 #include "state/checkpointer.hpp"
@@ -104,31 +110,23 @@ using namespace hprng;
 
 namespace {
 
-// The --backend flag accepts exactly the names in the serve registry
-// (docs/BACKENDS.md §1), so the help text is built from it rather than
-// hard-coding a list that would drift as backends are added.
-std::string backend_values() {
-  std::string out;
-  for (const std::string& name : serve::known_backends()) {
-    if (!out.empty()) out += '|';
-    out += name;
-  }
-  return out;
-}
+using Clock = std::chrono::steady_clock;
 
 void print_help() {
   std::printf(
-      "serve_load — closed-loop multi-client serving bench\n\n"
+      "serve_load — multi-client serving bench, in-process or over the "
+      "wire\n\n"
       "usage: serve_load [--flag=value ...]\n\n"
       "load shape:\n"
-      "  --clients=N         client threads (default 32)\n"
+      "  --clients=N         client threads (default 32; 8 in wire mode)\n"
       "  --requests=N        requests per client (default 64)\n"
       "  --n=WORDS           words per request (default 256)\n"
-      "  --inflight=K        async requests outstanding per client\n"
-      "service shape (ignored with --restore-from):\n"
+      "  --inflight=K        requests outstanding per client\n"
+      "  --open-loop --rate=R  Poisson arrivals, R total req/s\n"
+      "service shape (ignored with --restore-from or --connect):\n"
       "  --backend=NAME      one of: %s\n"
       "                      (default hybrid; see docs/BACKENDS.md)\n",
-      backend_values().c_str());
+      bench::backend_values().c_str());
   std::printf(
       "  --shards=N --slots=N --workers=N --capacity=N --coalesce=N\n"
       "  --walk-len=N        expander walk length for the walk backends\n"
@@ -139,7 +137,6 @@ void print_help() {
       "  --listen=EP         host a NetServer in-process; clients use the\n"
       "                      frame protocol (unix:PATH | tcp:HOST:PORT)\n"
       "  --connect=EP        drive an external server (serve_net)\n"
-      "  --open-loop --rate=R  Poisson arrivals, R total req/s\n"
       "  --keep-leases       leave leases live (orphaned) on exit\n"
       "  --adopt             adopt the server's adoptable leases first\n"
       "  --max-pending-fills=N  in-process server shape\n"
@@ -147,10 +144,11 @@ void print_help() {
       "  --tenants=N         tenant population (default 1 = tenant 0 only)\n"
       "  --tenant-skew=S     Zipf exponent for client placement (default 1)\n"
       "  --scenario=NAME     steady|flash-crowd|slow-leak (docs/QOS.md §8)\n"
-      "  --tenant-json=PATH  per-tenant fairness report (CI artifact)\n"
+      "  --tenant-json=PATH  per-tenant fairness report (CI artifact;\n"
+      "                      local mode only)\n"
       "faults (docs/FAULTS.md):\n"
       "  --fault-plan=PLAN   e.g. shard:1:fail:0:1000000\n"
-      "checkpoint/restore (docs/STATE.md):\n"
+      "checkpoint/restore (docs/STATE.md; local mode only):\n"
       "  --checkpoint-every=MS   periodic snapshots during the run\n"
       "  --checkpoint-path=PATH  default serve-checkpoint.snap\n"
       "  --restore-from=PATH     rebuild the service from a snapshot\n"
@@ -228,17 +226,25 @@ std::vector<std::uint64_t> assign_tenants(int clients, int tenants,
   return out;
 }
 
-// Per-tenant client-side tallies, merged across the tenant's clients
-// after the threads join (each client writes only its own slot).
+// Client-side tallies: one per client thread (each writes only its own),
+// merged per tenant and over the whole run after the threads join.
 struct TenantTally {
   std::uint64_t clients = 0;
-  std::uint64_t issued = 0;
   std::uint64_t ok = 0;
   std::uint64_t failed = 0;
   std::uint64_t rejected_quota = 0;  ///< kRejectedQuota statuses observed
   std::vector<double> lats;          ///< client-side seconds, unsorted
+
+  void merge(const TenantTally& other) {
+    clients += other.clients;
+    ok += other.ok;
+    failed += other.failed;
+    rejected_quota += other.rejected_quota;
+    lats.insert(lats.end(), other.lats.begin(), other.lats.end());
+  }
 };
 
+// The q-quantile as the order statistic at floor(q * (n - 1)).
 double tally_quantile(std::vector<double>& lats, double q) {
   if (lats.empty()) return 0.0;
   std::sort(lats.begin(), lats.end());
@@ -351,478 +357,284 @@ bool apply_simd_flag(const util::Cli& cli) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire mode: the same client population, but every fill crosses the frame
-// protocol through a net::NetClient — against an in-process NetServer
-// (--listen) or an external serve_net (--connect). Latency is measured
-// client-side (steady_clock around each request) and reported as sorted-
-// vector quantiles, since the server's histograms only see its half of
-// the round trip.
-int run_wire(const util::Cli& cli) {
-  const int clients = static_cast<int>(cli.get_u64("clients", 8));
-  const int requests = static_cast<int>(cli.get_u64("requests", 64));
-  const std::size_t words = cli.get_u64("n", 256);
-  const int inflight =
-      static_cast<int>(std::max<std::uint64_t>(1, cli.get_u64("inflight", 1)));
-  const bool open_loop = cli.has("open-loop");
-  const double rate = cli.get_double("rate", 256.0);  // total req/s
-  const bool keep_leases = cli.has("keep-leases");
-  const bool adopt = cli.has("adopt");
-  const std::uint64_t seed = cli.get_u64("seed", 0x243F6A8885A308D3ull);
-  std::string connect_ep = cli.get_string("connect", "");
-  const std::string listen_ep = cli.get_string("listen", "");
-  const bool in_process = connect_ep.empty();
+// The load both modes run: its shape, the client loop, and the rows and
+// fields reported from the client side.
 
+struct Load {
+  int clients = 0;
+  int requests = 0;
+  std::size_t words = 0;
+  int inflight = 1;
+  bool open_loop = false;
+  double rate = 0.0;  ///< open loop: total requests/second
+  std::uint64_t seed = 0;
   Scenario scenario = Scenario::kSteady;
-  if (!parse_scenario(cli.get_string("scenario", ""), &scenario)) {
+  int tenants = 1;
+  double tenant_skew = 1.0;
+  std::vector<std::uint64_t> tenant_of;  ///< per client
+  std::uint64_t noisy_offered_words = 0;
+};
+
+bool read_load(const util::Cli& cli, int default_clients, Load* load) {
+  load->clients = static_cast<int>(cli.get_u64(
+      "clients", static_cast<std::uint64_t>(default_clients)));
+  load->requests = static_cast<int>(cli.get_u64("requests", 64));
+  load->words = cli.get_u64("n", 256);
+  load->inflight =
+      static_cast<int>(std::max<std::uint64_t>(1, cli.get_u64("inflight", 1)));
+  load->open_loop = cli.has("open-loop");
+  load->rate = cli.get_double("rate", 256.0);
+  load->seed = cli.get_u64("seed", serve::ServiceOptions{}.seed);
+  if (!parse_scenario(cli.get_string("scenario", ""), &load->scenario)) {
     std::fprintf(stderr, "unknown --scenario=%s (steady|flash-crowd|"
                          "slow-leak)\n",
                  cli.get_string("scenario", "").c_str());
-    return 2;
+    return false;
   }
-  const int tenants_n = static_cast<int>(cli.get_u64(
-      "tenants", scenario == Scenario::kSteady ? 1 : 4));
-  const double tenant_skew = cli.get_double("tenant-skew", 1.0);
-  const std::vector<std::uint64_t> tenant_of =
-      assign_tenants(clients, tenants_n, tenant_skew);
-  std::uint64_t noisy_offered_words = 0;
-  for (const std::uint64_t t : tenant_of) {
+  load->tenants = static_cast<int>(cli.get_u64(
+      "tenants", load->scenario == Scenario::kSteady ? 1 : 4));
+  load->tenant_skew = cli.get_double("tenant-skew", 1.0);
+  load->tenant_of =
+      assign_tenants(load->clients, load->tenants, load->tenant_skew);
+  for (const std::uint64_t t : load->tenant_of) {
     if (t == kNoisyTenant) {
-      noisy_offered_words += static_cast<std::uint64_t>(requests) * words;
+      load->noisy_offered_words +=
+          static_cast<std::uint64_t>(load->requests) * load->words;
     }
   }
+  return true;
+}
 
-  obs::MetricsRegistry metrics;
+bool tenancy_shown(const Load& load) {
+  return load.tenants > 1 || load.scenario != Scenario::kSteady;
+}
 
-  std::optional<fault::FaultPlan> plan;
-  std::optional<fault::Injector> injector;
-  const std::string plan_text = cli.get_string("fault-plan", "");
-  if (!plan_text.empty()) {
-    plan = fault::FaultPlan::parse(plan_text);
-    if (!plan.has_value()) {
-      std::fprintf(stderr, "bad --fault-plan=%s (see docs/FAULTS.md)\n",
-                   plan_text.c_str());
-      return 2;
-    }
-    injector.emplace(*plan);
+void print_load_notes(const Load& load, const fault::Injector* injector) {
+  if (tenancy_shown(load)) {
+    std::printf("tenancy: %d tenants, zipf skew %.2f, scenario %s "
+                "(noisy tenant %llu), %s loop%s\n\n",
+                load.tenants, load.tenant_skew, scenario_name(load.scenario),
+                static_cast<unsigned long long>(kNoisyTenant),
+                load.open_loop ? "open" : "closed",
+                load.open_loop
+                    ? util::strf(", %.0f req/s Poisson", load.rate).c_str()
+                    : "");
+  }
+  if (injector != nullptr) {
+    std::printf("fault plan: %s\n\n", injector->plan().to_string().c_str());
+  }
+}
+
+// A client's access path to its lease — an in-process Session or a
+// NetClient connection. fill() is one synchronous request; submit(k)
+// starts a pipelined one in window slot k and wait(k) collects it.
+class SessionPort {
+ public:
+  explicit SessionPort(serve::Session session)
+      : session_(std::move(session)) {}
+
+  serve::Status fill(std::span<std::uint64_t> out) {
+    return session_.fill(out);
+  }
+  void submit(std::size_t k, std::span<std::uint64_t> out) {
+    if (tickets_.size() <= k) tickets_.resize(k + 1);
+    tickets_[k] = session_.fill_async(out);
+  }
+  serve::Status wait(std::size_t k) {
+    return std::exchange(tickets_[k], {}).wait();
   }
 
-  // --listen: the server half lives in this process (still a real socket
-  // round trip — the wire cost is what this mode measures).
-  std::unique_ptr<serve::RngService> service;
-  std::unique_ptr<net::NetServer> server;
-  if (in_process) {
-    if (cli.has("completers")) {
-      // Removed flag: fail loudly rather than silently run another shape.
-      std::fprintf(stderr, "--completers was removed: the server replies "
-                           "from its one loop thread\n");
-      return 2;
-    }
-    serve::ServiceOptions opts;
-    opts.backend = cli.get_string("backend", "hybrid");
-    if (!serve::backend_known(opts.backend)) {
-      std::fprintf(stderr, "unknown --backend=%s (one of: %s)\n",
-                   opts.backend.c_str(), backend_values().c_str());
-      return 2;
-    }
-    opts.num_shards = static_cast<int>(cli.get_u64("shards", 4));
-    opts.max_leases_per_shard = cli.get_u64(
-        "slots", (static_cast<std::uint64_t>(clients) +
-                  static_cast<std::uint64_t>(opts.num_shards) - 1) /
-                     static_cast<std::uint64_t>(opts.num_shards));
-    opts.num_workers = static_cast<int>(cli.get_u64("workers", 4));
-    opts.queue_capacity = cli.get_u64("capacity", 256);
-    opts.max_coalesce = cli.get_u64("coalesce", 8);
-    opts.walk_len = static_cast<int>(
-        cli.get_u64("walk-len", static_cast<std::uint64_t>(opts.walk_len)));
-    opts.seed = seed;
-    opts.default_timeout =
-        std::chrono::milliseconds(cli.get_u64("timeout-ms", 30000));
-    opts.injector = injector.has_value() ? &*injector : nullptr;
-    apply_scenario(scenario, words, noisy_offered_words, &opts.tenants);
-    service = std::make_unique<serve::RngService>(opts, &metrics);
+ private:
+  serve::Session session_;
+  std::vector<serve::Ticket> tickets_;
+};
 
-    net::ServerOptions sopts;
-    sopts.listen = {listen_ep};
-    sopts.max_pending_fills = cli.get_u64("max-pending-fills", 64);
-    sopts.injector = opts.injector;
-    server = std::make_unique<net::NetServer>(*service, sopts, &metrics);
-    if (!server->ok()) {
-      std::fprintf(stderr, "cannot listen on %s: %s\n", listen_ep.c_str(),
-                   server->error().c_str());
-      return 2;
-    }
-    connect_ep = server->endpoints().front();
+class NetPort {
+ public:
+  explicit NetPort(net::ClientOptions opts) : client(std::move(opts)) {}
+
+  serve::Status fill(std::span<std::uint64_t> out) {
+    return client.fill(lease, out);
+  }
+  void submit(std::size_t k, std::span<std::uint64_t> out) {
+    if (pending_.size() <= k) pending_.resize(k + 1);
+    pending_[k] = {
+        client.fill_submit(lease, static_cast<std::uint32_t>(out.size())),
+        out};
+  }
+  // A submit that could not be sent (id 0) settles kClosed.
+  serve::Status wait(std::size_t k) {
+    const auto [id, out] = std::exchange(pending_[k], {});
+    return id == 0 ? serve::Status::kClosed : client.fill_wait(id, out);
   }
 
-  bench::banner(
-      "serve_load — wire-mode serving bench (docs/NETWORK.md)",
-      "RNG-as-a-service holds its serving contract when every fill "
-      "crosses a socket: leases, backpressure and adoption are protocol "
-      "messages",
-      util::strf("%d clients x %d requests x %zu words over %s (%s, %s "
-                 "loop%s)",
-                 clients, requests, words, connect_ep.c_str(),
-                 in_process ? "in-process server" : "external server",
-                 open_loop ? "open" : "closed",
-                 open_loop
-                     ? util::strf(", %.0f req/s Poisson", rate).c_str()
-                     : "")
-          .c_str());
-  if (plan.has_value()) {
-    std::printf("fault plan: %s\n\n", plan->to_string().c_str());
-  }
+  net::NetClient client;
+  std::uint64_t lease = 0;
 
-  net::ClientOptions copts;
-  copts.endpoint = connect_ep;
-  copts.metrics = &metrics;
-  copts.timeout = std::chrono::milliseconds(cli.get_u64("timeout-ms", 30000));
+ private:
+  std::vector<std::pair<std::uint64_t, std::span<std::uint64_t>>> pending_;
+};
 
-  // --adopt: the restart-demo second half — claim the restored generation's
-  // leases before opening any fresh ones.
-  std::vector<std::uint64_t> adoptable;
-  {
-    net::ClientOptions bopts = copts;
-    bopts.name = "serve_load-bootstrap";
-    net::NetClient bootstrap(bopts);
-    std::string err;
-    if (!bootstrap.connect(&err)) {
-      std::fprintf(stderr, "cannot reach %s: %s\n", connect_ep.c_str(),
-                   err.c_str());
-      return 2;
+// One client's requests. Closed loop: a request goes out as soon as the
+// window of --inflight has room, and its latency runs from its submit; at
+// --inflight=1 each is one synchronous fill. Open loop: arrivals are a
+// deterministic Poisson process — a per-client exponential-gap stream at
+// rate/clients req/s — that submits without waiting for earlier replies,
+// and latency runs from the scheduled arrival, so client-side queueing
+// counts, as open-loop convention demands. The scenarios pace the noisy
+// tenant: flash-crowd floods it at 8x, slow-leak trickles it at a quarter
+// rate (closed loop: a 200 µs pause before each request).
+template <class Port>
+void run_client(Port& port, const Load& load, int c, TenantTally& tally) {
+  const bool noisy = load.tenant_of[static_cast<std::size_t>(c)] ==
+                     kNoisyTenant;
+  const auto settle = [&](serve::Status st, Clock::time_point start) {
+    tally.lats.push_back(
+        std::chrono::duration<double>(Clock::now() - start).count());
+    if (st == serve::Status::kOk) {
+      ++tally.ok;
+    } else {
+      ++tally.failed;
+      if (st == serve::Status::kRejectedQuota) ++tally.rejected_quota;
     }
-    if (adopt) adoptable = bootstrap.adoptables(&err);
+  };
+  std::mt19937_64 rng(load.seed ^ (0x9E3779B97F4A7C15ull *
+                                   (static_cast<std::uint64_t>(c) + 1)));
+  double client_rate = load.rate / static_cast<double>(load.clients);
+  if (noisy && load.scenario == Scenario::kFlashCrowd) client_rate *= 8.0;
+  if (noisy && load.scenario == Scenario::kSlowLeak) client_rate *= 0.25;
+  std::exponential_distribution<double> gap(client_rate);
+
+  // A request's buffer is reused only after it settles, so slot r %
+  // inflight is always free when request r is issued.
+  const auto window_size = static_cast<std::size_t>(load.inflight);
+  std::vector<std::vector<std::uint64_t>> bufs(
+      window_size, std::vector<std::uint64_t>(load.words));
+  std::deque<std::pair<std::size_t, Clock::time_point>> window;
+  const auto settle_front = [&] {
+    const auto [k, start] = window.front();
+    window.pop_front();
+    settle(port.wait(k), start);
+  };
+  auto next_arrival = Clock::now();
+  for (int r = 0; r < load.requests; ++r) {
+    if (load.open_loop) {
+      next_arrival += std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double>(gap(rng)));
+      std::this_thread::sleep_until(next_arrival);
+    } else if (noisy && load.scenario == Scenario::kSlowLeak) {
+      // Closed-loop slow leak: a small trickle instead of a flood —
+      // quota, not rate, is what runs out.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    if (!load.open_loop && window_size == 1) {
+      const auto start = Clock::now();
+      settle(port.fill(bufs[0]), start);
+      continue;
+    }
+    if (window.size() == window_size) settle_front();
+    const std::size_t k = static_cast<std::size_t>(r) % window_size;
+    const auto start = load.open_loop ? next_arrival : Clock::now();
+    port.submit(k, bufs[k]);
+    window.emplace_back(k, start);
   }
+  while (!window.empty()) settle_front();
+}
 
-  std::atomic<std::uint64_t> ok{0}, failed{0};
-  std::atomic<std::uint64_t> reconnects{0}, adoptions{0};
-  std::vector<std::vector<double>> lat_per_client(
-      static_cast<std::size_t>(clients));
-  std::atomic<bool> setup_failed{false};
+struct LoadRun {
+  double wall_seconds = 0.0;
+  std::vector<TenantTally> per_client;
+  TenantTally all;  ///< every client merged
+  double p50 = 0.0, p99 = 0.0, max = 0.0;  ///< latency over `all`, seconds
+};
 
-  const auto wall_start = std::chrono::steady_clock::now();
+// Run every client on its own thread, one port each, and time the lot.
+template <class Port>
+LoadRun run_load(const Load& load, std::deque<Port>& ports) {
+  LoadRun run;
+  run.per_client.resize(ports.size());
+  const auto wall_start = Clock::now();
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  for (int c = 0; c < clients; ++c) {
+  threads.reserve(ports.size());
+  for (std::size_t c = 0; c < ports.size(); ++c) {
     threads.emplace_back([&, c] {
-      net::ClientOptions my = copts;
-      my.name = util::strf("serve_load#%d", c);
-      my.tenant = tenant_of[static_cast<std::size_t>(c)];
-      net::NetClient client(my);
-      std::string err;
-      std::uint64_t lease_id = 0;
-      if (static_cast<std::size_t>(c) < adoptable.size()) {
-        lease_id = adoptable[static_cast<std::size_t>(c)];
-        if (!client.adopt(lease_id, &err)) {
-          std::fprintf(stderr, "client %d: adopt(%llu) failed: %s\n", c,
-                       static_cast<unsigned long long>(lease_id), err.c_str());
-          setup_failed.store(true);
-          return;
-        }
-      } else {
-        const auto fresh = client.lease(&err);
-        if (!fresh.has_value()) {
-          std::fprintf(stderr, "client %d: lease failed: %s\n", c,
-                       err.c_str());
-          setup_failed.store(true);
-          return;
-        }
-        lease_id = *fresh;
-      }
-
-      std::vector<double>& lats = lat_per_client[static_cast<std::size_t>(c)];
-      lats.reserve(static_cast<std::size_t>(requests));
-      const auto tally = [&](serve::Status st,
-                             std::chrono::steady_clock::time_point t0) {
-        if (st == serve::Status::kOk) {
-          ok.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          failed.fetch_add(1, std::memory_order_relaxed);
-        }
-        lats.push_back(std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count());
-      };
-
-      if (!open_loop && inflight == 1) {
-        // Closed loop, one fill at a time: back-to-back synchronous fills
-        // (transparent reconnect + retry — the restart-riding path).
-        std::vector<std::uint64_t> buf(words);
-        for (int r = 0; r < requests; ++r) {
-          const auto t0 = std::chrono::steady_clock::now();
-          tally(client.fill(lease_id, buf, &err), t0);
-        }
-      } else {
-        // Up to `inflight` fills pipelined on the wire. Closed loop: a
-        // fill is submitted as soon as the window has room, and latency
-        // runs from its submit. Open loop: arrivals are a deterministic
-        // Poisson process — a per-client exponential-gap stream at
-        // rate/clients req/s — that submits without waiting for earlier
-        // replies; latency runs from the scheduled arrival, so client-side
-        // queueing counts, as open-loop convention demands.
-        std::mt19937_64 rng(seed ^
-                            (0x9E3779B97F4A7C15ull *
-                             (static_cast<std::uint64_t>(c) + 1)));
-        std::exponential_distribution<double> gap(
-            rate / static_cast<double>(clients));
-        struct InFlight {
-          std::uint64_t request_id;
-          std::chrono::steady_clock::time_point start;
-          std::size_t buf_index;
-        };
-        std::vector<std::vector<std::uint64_t>> bufs(
-            static_cast<std::size_t>(inflight),
-            std::vector<std::uint64_t>(words));
-        std::deque<InFlight> window;
-        const auto settle_front = [&] {
-          const InFlight f = window.front();
-          window.pop_front();
-          const serve::Status st =
-              client.fill_wait(f.request_id, bufs[f.buf_index], &err);
-          tally(st, f.start);
-        };
-        auto next_arrival = std::chrono::steady_clock::now();
-        for (int r = 0; r < requests; ++r) {
-          if (open_loop) {
-            next_arrival += std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(gap(rng)));
-            std::this_thread::sleep_until(next_arrival);
-          }
-          if (window.size() == static_cast<std::size_t>(inflight)) {
-            settle_front();
-          }
-          const auto start =
-              open_loop ? next_arrival : std::chrono::steady_clock::now();
-          const std::uint64_t id = client.fill_submit(
-              lease_id, static_cast<std::uint32_t>(words));
-          if (id == 0) {
-            failed.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          window.push_back({id, start,
-                            static_cast<std::size_t>(r % inflight)});
-        }
-        while (!window.empty()) settle_front();
-      }
-
-      if (!keep_leases) client.release(lease_id, &err);
-      reconnects.fetch_add(client.stats().reconnects,
-                           std::memory_order_relaxed);
-      adoptions.fetch_add(client.stats().adoptions,
-                          std::memory_order_relaxed);
+      run_client(ports[c], load, static_cast<int>(c), run.per_client[c]);
     });
   }
   for (std::thread& t : threads) t.join();
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-
-  // Server-side view at the quiescent fence: protocol stats over the wire
-  // (works for both modes), wire-layer stats directly when in-process.
-  net::NetStats sstats;
-  bool have_sstats = false;
-  {
-    net::ClientOptions bopts = copts;
-    bopts.name = "serve_load-stat";
-    net::NetClient bootstrap(bopts);
-    std::string err;
-    const auto s = bootstrap.stat(&err);
-    if (s.has_value()) {
-      sstats = *s;
-      have_sstats = true;
-    }
-  }
-
-  std::vector<double> lats;
-  for (const auto& v : lat_per_client) lats.insert(lats.end(), v.begin(),
-                                                   v.end());
-  std::sort(lats.begin(), lats.end());
-  const auto quantile = [&](double q) {
-    if (lats.empty()) return 0.0;
-    const std::size_t i = static_cast<std::size_t>(
-        q * static_cast<double>(lats.size() - 1));
-    return lats[i];
-  };
-  const double lat_p50 = quantile(0.5), lat_p99 = quantile(0.99);
-  const double lat_max = lats.empty() ? 0.0 : lats.back();
-
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(clients) *
-      static_cast<std::uint64_t>(requests);
-  util::Table t({"metric", "value"});
-  t.add_row({"requests issued",
-             util::strf("%llu", static_cast<unsigned long long>(total))});
-  t.add_row({"served ok",
-             util::strf("%llu", static_cast<unsigned long long>(ok.load()))});
-  t.add_row({"failed", util::strf("%llu", static_cast<unsigned long long>(
-                                              failed.load()))});
-  t.add_row({"client reconnects",
-             util::strf("%llu",
-                        static_cast<unsigned long long>(reconnects.load()))});
-  if (adopt) {
-    t.add_row({"adopted leases",
-               util::strf("%llu",
-                          static_cast<unsigned long long>(adoptions.load()))});
-  }
-  if (have_sstats) {
-    t.add_row({"server numbers served",
-               util::strf("%llu", static_cast<unsigned long long>(
-                                      sstats.numbers_served))});
-    t.add_row({"server active leases",
-               util::strf("%llu", static_cast<unsigned long long>(
-                                      sstats.active_leases))});
-    t.add_row({"server adoptable leases",
-               util::strf("%llu",
-                          static_cast<unsigned long long>(sstats.adoptable))});
-    if (tenants_n > 1) {
-      t.add_row({"server rejected (quota/rate)",
-                 util::strf("%llu", static_cast<unsigned long long>(
-                                        sstats.rejected_quota))});
-    }
-  }
-  t.add_row({"wall time (ms)", bench::ms(wall_seconds)});
-  if (wall_seconds > 0.0) {
-    t.add_row({"throughput (req/s)",
-               util::strf("%.0f",
-                          static_cast<double>(ok.load()) / wall_seconds)});
-    t.add_row({"throughput (Mwords/s)",
-               util::strf("%.2f", static_cast<double>(ok.load()) *
-                                      static_cast<double>(words) /
-                                      wall_seconds / 1e6)});
-  }
-  t.add_row({"latency p50 (ms)", bench::ms(lat_p50)});
-  t.add_row({"latency p99 (ms)", bench::ms(lat_p99)});
-  t.add_row({"latency max (ms)", bench::ms(lat_max)});
-  std::printf("%s", t.to_string().c_str());
-
-  net::NetServer::Stats wire{};
-  if (server != nullptr) {
-    wire = server->stats();
-    std::printf("\nwire: frames_rx=%llu frames_tx=%llu bytes_rx=%llu "
-                "bytes_tx=%llu frame_errors=%llu fills_rejected=%llu\n",
-                static_cast<unsigned long long>(wire.frames_rx),
-                static_cast<unsigned long long>(wire.frames_tx),
-                static_cast<unsigned long long>(wire.bytes_rx),
-                static_cast<unsigned long long>(wire.bytes_tx),
-                static_cast<unsigned long long>(wire.frame_errors),
-                static_cast<unsigned long long>(wire.fills_rejected));
-  }
-
-  bench::export_metrics_json(cli, metrics);
-  {
-    // BENCH_net.json: the wire-serving perf artifact (docs/PERFORMANCE.md;
-    // baseline snapshot in bench/baselines/).
-    bench::BenchJson json;
-    json.add("bench", std::string("serve_load_net"));
-    json.add("mode", std::string(in_process ? "listen" : "connect"));
-    json.add("simd_kernel", std::string(simd::kernel_name()));
-    json.add("simd_lanes", static_cast<double>(simd::lane_width_u32()));
-    json.add("loop", std::string(open_loop ? "open" : "closed"));
-    json.add("endpoint", connect_ep);
-    json.add("clients", static_cast<double>(clients));
-    json.add("requests_per_client", static_cast<double>(requests));
-    json.add("words_per_request", static_cast<double>(words));
-    json.add("inflight", static_cast<double>(inflight));
-    json.add("open_loop_rate", open_loop ? rate : 0.0);
-    json.add("wall_seconds", wall_seconds);
-    json.add("requests_ok", static_cast<double>(ok.load()));
-    json.add("requests_failed", static_cast<double>(failed.load()));
-    json.add("client_reconnects", static_cast<double>(reconnects.load()));
-    json.add("wall_req_per_s",
-             wall_seconds > 0.0
-                 ? static_cast<double>(ok.load()) / wall_seconds
-                 : 0.0);
-    json.add("wall_words_per_s",
-             wall_seconds > 0.0
-                 ? static_cast<double>(ok.load()) *
-                       static_cast<double>(words) / wall_seconds
-                 : 0.0);
-    json.add("latency_p50_s", lat_p50);
-    json.add("latency_p99_s", lat_p99);
-    json.add("latency_max_s", lat_max);
-    json.add("frames_rx", static_cast<double>(wire.frames_rx));
-    json.add("frames_tx", static_cast<double>(wire.frames_tx));
-    json.add("frame_errors", static_cast<double>(wire.frame_errors));
-    bench::export_bench_json(cli, json);
-  }
-  if (!bench::reject_unread_flags(cli)) return 2;
-
-  // Shape: without an injected fault plan (or a scenario that rejects by
-  // design), every request must land kOk; leases reclaim (or deliberately
-  // persist with --keep-leases).
-  const bool clean_requests =
-      plan.has_value() || scenario != Scenario::kSteady
-          ? ok.load() > 0
-          : failed.load() == 0 && ok.load() > 0;
-  const bool leases_accounted =
-      !have_sstats ||
-      (keep_leases ? sstats.active_leases + sstats.adoptable >= 1
-                   : sstats.active_leases == 0);
-  const bool shape = !setup_failed.load() && clean_requests &&
-                     leases_accounted;
-  bench::verdict(shape,
-                 "wire fills land kOk end-to-end and leases are accounted "
-                 "for (released, or parked for adoption)");
-  if (server != nullptr) server->stop();
-  return shape ? 0 : 1;
+  run.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - wall_start).count();
+  for (const TenantTally& t : run.per_client) run.all.merge(t);
+  run.p50 = tally_quantile(run.all.lats, 0.5);
+  run.p99 = tally_quantile(run.all.lats, 0.99);
+  run.max = tally_quantile(run.all.lats, 1.0);
+  return run;
 }
 
-}  // namespace
+std::string num(std::uint64_t v) {
+  return util::strf("%llu", static_cast<unsigned long long>(v));
+}
 
-int main(int argc, char** argv) {
-  util::Cli cli(argc, argv);
-  if (cli.has("help")) {
-    print_help();
-    return 0;
+// The rows both modes print first. `words_served` is the mode's count of
+// delivered words (local mode's includes the scrubber's).
+util::Table load_table(const Load& load, const LoadRun& run,
+                       double words_served) {
+  util::Table t({"metric", "value"});
+  t.add_row({"requests issued",
+             num(static_cast<std::uint64_t>(load.clients) *
+                   static_cast<std::uint64_t>(load.requests))});
+  t.add_row({"served ok", num(run.all.ok)});
+  t.add_row({"failed", num(run.all.failed)});
+  t.add_row({"wall time (ms)", bench::ms(run.wall_seconds)});
+  if (run.wall_seconds > 0.0) {
+    t.add_row({"throughput (req/s)",
+               util::strf("%.0f", static_cast<double>(run.all.ok) /
+                                      run.wall_seconds)});
+    t.add_row({"throughput (Mwords/s)",
+               util::strf("%.2f", words_served / run.wall_seconds / 1e6)});
   }
-  if (!apply_simd_flag(cli)) return 2;
-  // Wire mode is a separate harness: socket clients, client-side latency.
-  if (cli.has("listen") || cli.has("connect")) return run_wire(cli);
-  const int clients = static_cast<int>(cli.get_u64("clients", 32));
-  const int requests = static_cast<int>(cli.get_u64("requests", 64));
-  const std::size_t words = cli.get_u64("n", 256);
-  const int inflight =
-      static_cast<int>(std::max<std::uint64_t>(1, cli.get_u64("inflight", 1)));
-  const bool open_loop = cli.has("open-loop");
-  const double rate = cli.get_double("rate", 256.0);  // total req/s
+  t.add_row({"latency p50 (ms)", bench::ms(run.p50)});
+  t.add_row({"latency p99 (ms)", bench::ms(run.p99)});
+  t.add_row({"latency max (ms)", bench::ms(run.max)});
+  return t;
+}
 
-  // Tenancy (docs/QOS.md §8): deterministic Zipf client placement plus
-  // the scenario's policy override for the noisy (Zipf-head) tenant.
-  Scenario scenario = Scenario::kSteady;
-  if (!parse_scenario(cli.get_string("scenario", ""), &scenario)) {
-    std::fprintf(stderr, "unknown --scenario=%s (steady|flash-crowd|"
-                         "slow-leak)\n",
-                 cli.get_string("scenario", "").c_str());
-    return 2;
-  }
-  const int tenants_n = static_cast<int>(cli.get_u64(
-      "tenants", scenario == Scenario::kSteady ? 1 : 4));
-  const double tenant_skew = cli.get_double("tenant-skew", 1.0);
-  std::vector<std::uint64_t> tenant_of =
-      assign_tenants(clients, tenants_n, tenant_skew);
-  std::uint64_t noisy_offered_words = 0;
-  for (const std::uint64_t t : tenant_of) {
-    if (t == kNoisyTenant) {
-      noisy_offered_words += static_cast<std::uint64_t>(requests) * words;
-    }
-  }
+// The BENCH_*.json fields both modes write; each mode appends its own.
+bench::BenchJson load_json(const char* name, const Load& load,
+                           const LoadRun& run, double words_served) {
+  const double wall = run.wall_seconds;
+  bench::BenchJson json;
+  json.add("bench", std::string(name));
+  json.add("simd_kernel", std::string(simd::kernel_name()));
+  json.add("simd_lanes", static_cast<double>(simd::lane_width_u32()));
+  json.add("clients", static_cast<double>(load.clients));
+  json.add("requests_per_client", static_cast<double>(load.requests));
+  json.add("words_per_request", static_cast<double>(load.words));
+  json.add("inflight", static_cast<double>(load.inflight));
+  json.add("loop", std::string(load.open_loop ? "open" : "closed"));
+  json.add("open_loop_rate", load.open_loop ? load.rate : 0.0);
+  json.add("scenario", std::string(scenario_name(load.scenario)));
+  json.add("tenants", static_cast<double>(load.tenants));
+  json.add("wall_seconds", wall);
+  json.add("requests_ok", static_cast<double>(run.all.ok));
+  json.add("requests_failed", static_cast<double>(run.all.failed));
+  json.add("wall_req_per_s",
+           wall > 0.0 ? static_cast<double>(run.all.ok) / wall : 0.0);
+  json.add("wall_words_per_s", wall > 0.0 ? words_served / wall : 0.0);
+  json.add("latency_p50_s", run.p50);
+  json.add("latency_p99_s", run.p99);
+  json.add("latency_max_s", run.max);
+  return json;
+}
 
-  serve::ServiceOptions opts;
-  opts.backend = cli.get_string("backend", "hybrid");
-  if (!serve::backend_known(opts.backend)) {
-    std::fprintf(stderr, "unknown --backend=%s (one of: %s)\n",
-                 opts.backend.c_str(), backend_values().c_str());
-    return 2;
-  }
-  if (cli.has("scrub-workers")) {
-    // Removed flag: fail loudly rather than silently run another shape.
-    std::fprintf(stderr, "--scrub-workers was removed: smoke draws run in "
-                         "stream order on the scrub thread\n");
-    return 2;
-  }
+// ---------------------------------------------------------------------------
+// Local mode: in-process Sessions, with checkpoint/restore, the quality
+// scrubber, the conservation check and the per-tenant fairness table.
+
+int local_mode(const util::Cli& cli, Load& load, fault::Injector* injector) {
   // Quality scrubbing (docs/QUALITY.md §5): the scrubber's leases ride the
   // same pool as the clients', so the default slot count covers them too.
+  serve::ServiceOptions opts;
   const bool scrub_enabled = cli.has("scrub-tier");
   const int scrub_streams = static_cast<int>(cli.get_u64("scrub-streams", 2));
   const int scrub_passes = static_cast<int>(cli.get_u64("scrub-passes", 4));
@@ -833,63 +645,24 @@ int main(int argc, char** argv) {
     opts.scrub.battery_scale = cli.get_double("scrub-scale", 1.0);
   }
   const std::uint64_t lease_demand =
-      static_cast<std::uint64_t>(clients) +
+      static_cast<std::uint64_t>(load.clients) +
       static_cast<std::uint64_t>(scrub_enabled ? scrub_streams : 0);
-  opts.num_shards = static_cast<int>(cli.get_u64("shards", 4));
-  opts.max_leases_per_shard =
-      cli.get_u64("slots", (lease_demand +
-                            static_cast<std::uint64_t>(opts.num_shards) - 1) /
-                               static_cast<std::uint64_t>(opts.num_shards));
-  opts.num_workers = static_cast<int>(cli.get_u64("workers", 4));
-  opts.queue_capacity = cli.get_u64("capacity", 256);
-  opts.max_coalesce = cli.get_u64("coalesce", 8);
-  // The serving default (walk_len 8) trades battery quality for fill
-  // throughput; the quality-certified configuration is 32 (Table III,
-  // docs/QUALITY.md §3) — the scrub CI job passes --walk-len=32.
-  opts.walk_len = static_cast<int>(
-      cli.get_u64("walk-len", static_cast<std::uint64_t>(opts.walk_len)));
-  opts.seed = cli.get_u64("seed", 0x243F6A8885A308D3ull);
-  opts.default_timeout =
-      std::chrono::milliseconds(cli.get_u64("timeout-ms", 30000));
-  apply_scenario(scenario, words, noisy_offered_words, &opts.tenants);
-
-  // Optional deterministic chaos: parse the plan text and wire the injector
-  // into every shard's pipeline plus the service's dispatch/worker sites.
-  const std::string plan_text = cli.get_string("fault-plan", "");
-  std::optional<fault::FaultPlan> plan;
-  std::optional<fault::Injector> injector;
-  if (!plan_text.empty()) {
-    plan = fault::FaultPlan::parse(plan_text);
-    if (!plan.has_value()) {
-      std::fprintf(stderr, "bad --fault-plan=%s (see docs/FAULTS.md)\n",
-                   plan_text.c_str());
-      return 2;
-    }
-    injector.emplace(*plan);
-    opts.injector = &*injector;
-  }
+  if (!bench::read_service_shape(cli, lease_demand, &opts)) return 2;
+  opts.injector = injector;
+  apply_scenario(load.scenario, load.words, load.noisy_offered_words,
+                 &opts.tenants);
 
   bench::banner(
-      "serve_load — closed-loop multi-client serving",
+      "serve_load — multi-client serving",
       "the on-demand generator serves many small consumers by coalescing "
       "their requests into batched pipeline rounds",
       util::strf("%d clients x %d requests x %zu words (%d in flight), "
                  "%d %s shards, %d workers, queue %zu",
-                 clients, requests, words, inflight, opts.num_shards,
-                 opts.backend.c_str(), opts.num_workers, opts.queue_capacity)
+                 load.clients, load.requests, load.words, load.inflight,
+                 opts.num_shards, opts.backend.c_str(), opts.num_workers,
+                 opts.queue_capacity)
           .c_str());
-  if (tenants_n > 1 || scenario != Scenario::kSteady) {
-    std::printf("tenancy: %d tenants, zipf skew %.2f, scenario %s "
-                "(noisy tenant %llu), %s loop%s\n\n",
-                tenants_n, tenant_skew, scenario_name(scenario),
-                static_cast<unsigned long long>(kNoisyTenant),
-                open_loop ? "open" : "closed",
-                open_loop ? util::strf(", %.0f req/s Poisson", rate).c_str()
-                          : "");
-  }
-  if (plan.has_value()) {
-    std::printf("fault plan: %s\n\n", plan->to_string().c_str());
-  }
+  print_load_notes(load, injector);
 
   // Checkpoint/restore wiring (docs/STATE.md).
   const std::string restore_from = cli.get_string("restore-from", "");
@@ -898,9 +671,7 @@ int main(int argc, char** argv) {
       cli.get_string("checkpoint-path", "serve-checkpoint.snap");
 
   obs::MetricsRegistry metrics;
-  double wall_seconds = 0.0;
-  std::atomic<std::uint64_t> ok{0}, failed{0};
-  std::vector<TenantTally> client_tally(static_cast<std::size_t>(clients));
+  LoadRun run;
   std::vector<serve::TenantTable::TenantStats> tenant_stats;
   std::vector<serve::TenantTable::TenantStats> offenders;
   serve::RngService::Stats stats;
@@ -939,34 +710,34 @@ int main(int argc, char** argv) {
     std::optional<quality::QualityScrubber> scrubber;
     if (scrub_enabled) scrubber.emplace(service, &metrics);
 
-    std::vector<serve::Session> sessions;
-    sessions.reserve(static_cast<std::size_t>(clients));
     // A restored service hands its snapshot leases back first: each client
-    // continues a pre-checkpoint stream exactly where it left off.
+    // continues a pre-checkpoint stream exactly where it left off. Adopted
+    // sessions carry the tenant the snapshot recorded, not the Zipf
+    // placement, so each client's tenant is read back from its session.
+    std::deque<SessionPort> ports;
+    const auto add_port = [&](const serve::Session& session) {
+      load.tenant_of[ports.size()] = session.tenant();
+      ports.emplace_back(session);
+    };
     for (const std::uint64_t id : service.adoptable_lease_ids()) {
-      if (sessions.size() == static_cast<std::size_t>(clients)) break;
+      if (ports.size() == static_cast<std::size_t>(load.clients)) break;
       auto session = service.adopt_session(id);
       if (session.has_value()) {
-        sessions.push_back(*session);
+        add_port(*session);
         ++adopted_leases;
       }
     }
-    for (int c = static_cast<int>(sessions.size()); c < clients; ++c) {
+    while (ports.size() < static_cast<std::size_t>(load.clients)) {
       serve::RngService::SessionSpec spec;
-      spec.tenant = tenant_of[static_cast<std::size_t>(c)];
+      spec.tenant = load.tenant_of[ports.size()];
       auto session = service.try_open_session(spec);
       if (!session.has_value()) {
         std::fprintf(stderr,
-                     "lease pool exhausted at client %d (grow --slots)\n", c);
+                     "lease pool exhausted at client %zu (grow --slots)\n",
+                     ports.size());
         return 2;
       }
-      sessions.push_back(*session);
-    }
-    // Adopted sessions carry the tenant the snapshot recorded, not the
-    // Zipf placement — read the authoritative tenancy back so the
-    // per-tenant tallies bill the right owner.
-    for (std::size_t i = 0; i < sessions.size(); ++i) {
-      tenant_of[i] = sessions[i].tenant();
+      add_port(*session);
     }
 
     // Periodic background snapshots; scoped so it stops (and its last tick
@@ -984,86 +755,7 @@ int main(int argc, char** argv) {
     // which is what the <5% degradation acceptance compares against a
     // no-scrub run of the same shape.
     if (scrubber.has_value()) scrubber->start();
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(clients));
-    for (int c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        // Each client keeps up to `inflight` async requests outstanding
-        // (inflight == 1 degenerates to the classic closed loop). A
-        // request's buffer is recycled only after its ticket settles, so
-        // slot r % inflight is always free when request r is issued.
-        const std::uint64_t tenant = tenant_of[static_cast<std::size_t>(c)];
-        TenantTally& tally = client_tally[static_cast<std::size_t>(c)];
-        std::vector<std::vector<std::uint64_t>> bufs(
-            static_cast<std::size_t>(inflight),
-            std::vector<std::uint64_t>(words));
-        struct Pending {
-          serve::Ticket ticket;
-          std::chrono::steady_clock::time_point t0;
-        };
-        std::deque<Pending> window;
-        const auto settle_front = [&] {
-          Pending p = window.front();
-          window.pop_front();
-          const serve::Status st = p.ticket.wait();
-          tally.lats.push_back(
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            p.t0)
-                  .count());
-          if (st == serve::Status::kOk) {
-            ++tally.ok;
-            ok.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            ++tally.failed;
-            if (st == serve::Status::kRejectedQuota) ++tally.rejected_quota;
-            failed.fetch_add(1, std::memory_order_relaxed);
-          }
-        };
-        // Open loop: deterministic per-client Poisson arrivals (wire-mode
-        // convention — latency runs from the scheduled arrival). The
-        // scenarios skew the noisy tenant's pace: flash-crowd floods it
-        // at 8x, slow-leak trickles it at a quarter rate.
-        std::mt19937_64 rng(opts.seed ^
-                            (0x9E3779B97F4A7C15ull *
-                             (static_cast<std::uint64_t>(c) + 1)));
-        double client_rate = rate / static_cast<double>(clients);
-        if (tenant == kNoisyTenant) {
-          if (scenario == Scenario::kFlashCrowd) client_rate *= 8.0;
-          if (scenario == Scenario::kSlowLeak) client_rate *= 0.25;
-        }
-        std::exponential_distribution<double> gap(client_rate);
-        auto next_arrival = std::chrono::steady_clock::now();
-        for (int r = 0; r < requests; ++r) {
-          if (open_loop) {
-            next_arrival += std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(gap(rng)));
-            std::this_thread::sleep_until(next_arrival);
-          } else if (scenario == Scenario::kSlowLeak &&
-                     tenant == kNoisyTenant) {
-            // Closed-loop slow leak: a small trickle instead of a flood —
-            // quota, not rate, is what runs out.
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-          }
-          if (window.size() == static_cast<std::size_t>(inflight)) {
-            settle_front();
-          }
-          const auto t0 =
-              open_loop ? next_arrival : std::chrono::steady_clock::now();
-          window.push_back(
-              {sessions[static_cast<std::size_t>(c)].fill_async(
-                   bufs[static_cast<std::size_t>(r % inflight)]),
-               t0});
-        }
-        while (!window.empty()) settle_front();
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    wall_seconds = std::chrono::duration_cast<std::chrono::duration<double>>(
-                       std::chrono::steady_clock::now() - wall_start)
-                       .count();
+    run = run_load(load, ports);
     if (scrubber.has_value()) {
       // Load window over: park the background thread, then finish with a
       // deterministic synchronous stint so the exported report always has
@@ -1096,96 +788,52 @@ int main(int argc, char** argv) {
     // (release would zero the per-tenant lease counts in the report).
     tenant_stats = service.tenant_all_stats();
     offenders = service.top_offenders();
-    sessions.clear();  // release every lease before the final snapshot
+    ports.clear();  // release every client lease
     stats = service.stats();
     healthy = service.healthy_shards();
   }
 
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(clients) * static_cast<std::uint64_t>(requests);
-  util::Table t({"metric", "value"});
-  t.add_row({"requests issued", util::strf("%llu",
-                                           static_cast<unsigned long long>(total))});
-  t.add_row({"served ok", util::strf("%llu",
-                                     static_cast<unsigned long long>(ok.load()))});
-  t.add_row({"rejected", util::strf("%llu", static_cast<unsigned long long>(
-                                                stats.rejected))});
-  t.add_row({"shed", util::strf("%llu",
-                                static_cast<unsigned long long>(stats.shed))});
-  t.add_row({"timed out", util::strf("%llu", static_cast<unsigned long long>(
-                                                 stats.timed_out))});
-  if (tenants_n > 1 || stats.rejected_quota > 0) {
-    t.add_row({"rejected (rate/quota)",
-               util::strf("%llu", static_cast<unsigned long long>(
-                                      stats.rejected_quota))});
+  util::Table t =
+      load_table(load, run, static_cast<double>(stats.numbers_served));
+  t.add_row({"rejected", num(stats.rejected)});
+  t.add_row({"shed", num(stats.shed)});
+  t.add_row({"timed out", num(stats.timed_out)});
+  if (load.tenants > 1 || stats.rejected_quota > 0) {
+    t.add_row({"rejected (rate/quota)", num(stats.rejected_quota)});
   }
-  if (plan.has_value()) {
-    t.add_row({"failed", util::strf("%llu", static_cast<unsigned long long>(
-                                                stats.failed))});
-    t.add_row({"retries", util::strf("%llu", static_cast<unsigned long long>(
-                                                 stats.retries))});
-    t.add_row({"failovers", util::strf("%llu", static_cast<unsigned long long>(
-                                                   stats.failovers))});
-    t.add_row({"shards ejected",
-               util::strf("%llu",
-                          static_cast<unsigned long long>(stats.shards_ejected))});
+  if (injector != nullptr) {
+    t.add_row({"failed (no capacity)", num(stats.failed)});
+    t.add_row({"retries", num(stats.retries)});
+    t.add_row({"failovers", num(stats.failovers)});
+    t.add_row({"shards ejected", num(stats.shards_ejected)});
     t.add_row({"healthy shards",
                util::strf("%d / %d", healthy, opts.num_shards)});
   }
-  t.add_row({"numbers served", util::strf("%llu", static_cast<unsigned long long>(
-                                                      stats.numbers_served))});
-  t.add_row({"backend passes", util::strf("%llu", static_cast<unsigned long long>(
-                                                      stats.batches))});
+  t.add_row({"numbers served", num(stats.numbers_served)});
+  t.add_row({"backend passes", num(stats.batches)});
   if (stats.batches > 0) {
     t.add_row({"requests/pass",
                util::strf("%.2f", static_cast<double>(stats.completed) /
                                       static_cast<double>(stats.batches))});
   }
-  if (adopted_leases > 0) {
-    t.add_row({"adopted leases",
-               util::strf("%llu",
-                          static_cast<unsigned long long>(adopted_leases))});
-  }
+  if (adopted_leases > 0) t.add_row({"adopted leases", num(adopted_leases)});
   if (checkpoint_every_ms > 0) {
-    t.add_row({"checkpoints taken",
-               util::strf("%llu",
-                          static_cast<unsigned long long>(checkpoints_taken))});
-    t.add_row({"checkpoint failures",
-               util::strf("%llu", static_cast<unsigned long long>(
-                                      checkpoints_failed))});
+    t.add_row({"checkpoints taken", num(checkpoints_taken)});
+    t.add_row({"checkpoint failures", num(checkpoints_failed)});
     t.add_row({"checkpoint path", checkpoint_path});
   }
-  t.add_row({"wall time (ms)", bench::ms(wall_seconds)});
-  if (wall_seconds > 0.0) {
-    t.add_row({"throughput (req/s)",
-               util::strf("%.0f", static_cast<double>(ok.load()) / wall_seconds)});
-    t.add_row({"throughput (Mwords/s)",
-               util::strf("%.2f", static_cast<double>(stats.numbers_served) /
-                                      wall_seconds / 1e6)});
-  }
-  // Latency quantiles from the registry histogram — the same numbers a
-  // dashboard would read (power-of-two buckets: within 2x).
-  const auto& lat = metrics.histogram("hprng.serve.request_latency_seconds");
-  const double lat_p50 = lat.quantile(0.5);
-  const double lat_p99 = lat.quantile(0.99);
-  const double lat_max = lat.max();
+  // The queue-wait quantile is a registry read: power-of-two buckets,
+  // so within 2x.
   const double qw_p99 =
       metrics.histogram("hprng.serve.queue_wait_seconds").quantile(0.99);
-  t.add_row({"latency p50 (ms)", bench::ms(lat_p50)});
-  t.add_row({"latency p99 (ms)", bench::ms(lat_p99)});
-  t.add_row({"latency max (ms)", bench::ms(lat_max)});
   t.add_row({"queue wait p99 (ms)", bench::ms(qw_p99)});
   if (quality_report.has_value()) {
     const quality::QualityReport& q = *quality_report;
     t.add_row({"scrub tier", util::strf("%d (resting %d)", q.tier,
                                         q.resting_tier)});
-    t.add_row({"scrub passes", util::strf("%llu", static_cast<unsigned long long>(
-                                                      q.passes))});
-    t.add_row({"scrub words", util::strf("%llu", static_cast<unsigned long long>(
-                                                     q.words))});
-    t.add_row({"scrub anomalies",
-               util::strf("%llu",
-                          static_cast<unsigned long long>(q.anomalies))});
+    t.add_row({"scrub passes", num(q.passes)});
+    t.add_row({"scrub words", num(q.words)});
+    t.add_row({"scrub anomalies", num(q.anomalies)});
     if (!q.last_battery.empty()) {
       t.add_row({"scrub battery",
                  util::strf("%s %d/%d%s", q.last_battery.c_str(),
@@ -1204,18 +852,20 @@ int main(int argc, char** argv) {
   // With a scrubber attached its fills ride the same queue, so the exact
   // client-tally equalities relax to inequalities (scrub requests are
   // extra submissions/completions on top of the client population).
+  const std::uint64_t total = static_cast<std::uint64_t>(load.clients) *
+                              static_cast<std::uint64_t>(load.requests);
   const bool scrub_ran = quality_report.has_value();
   const bool conserved =
       (scrub_ran ? stats.submitted >= total : stats.submitted == total) &&
       stats.submitted == stats.completed + stats.rejected + stats.shed +
                              stats.timed_out + stats.closed + stats.failed +
                              stats.rejected_quota &&
-      (scrub_ran ? ok.load() <= stats.completed
-                 : ok.load() == stats.completed) &&
+      (scrub_ran ? run.all.ok <= stats.completed
+                 : run.all.ok == stats.completed) &&
       (scrub_ran ||
-       failed.load() == stats.rejected + stats.shed + stats.timed_out +
-                            stats.closed + stats.failed +
-                            stats.rejected_quota);
+       run.all.failed == stats.rejected + stats.shed + stats.timed_out +
+                             stats.closed + stats.failed +
+                             stats.rejected_quota);
   const bool leases_clean = stats.active_leases == 0 &&
                             stats.leases_granted == stats.leases_released;
   const bool coalesced = stats.batches <= stats.completed;
@@ -1235,18 +885,13 @@ int main(int argc, char** argv) {
   // Per-tenant fairness view: engine-side TenantTable ground truth joined
   // with each tenant's client-side latency quantiles (docs/QOS.md §7).
   std::map<std::uint64_t, TenantTally> per_tenant;
-  for (int c = 0; c < clients; ++c) {
-    const TenantTally& src = client_tally[static_cast<std::size_t>(c)];
-    TenantTally& dst = per_tenant[tenant_of[static_cast<std::size_t>(c)]];
+  for (std::size_t c = 0; c < run.per_client.size(); ++c) {
+    TenantTally& dst = per_tenant[load.tenant_of[c]];
     ++dst.clients;
-    dst.issued += static_cast<std::uint64_t>(requests);
-    dst.ok += src.ok;
-    dst.failed += src.failed;
-    dst.rejected_quota += src.rejected_quota;
-    dst.lats.insert(dst.lats.end(), src.lats.begin(), src.lats.end());
+    dst.merge(run.per_client[c]);
   }
   bool fairness_ok = true;
-  if (tenants_n > 1 || scenario != Scenario::kSteady) {
+  if (tenancy_shown(load)) {
     util::Table tt({"tenant", "clients", "submitted", "ok", "rej rate",
                     "rej quota", "quota used", "p50 ms", "p99 ms",
                     "success"});
@@ -1259,23 +904,17 @@ int main(int argc, char** argv) {
       tt.add_row(
           {util::strf("%llu%s", static_cast<unsigned long long>(s.tenant),
                       s.tenant == kNoisyTenant &&
-                              scenario != Scenario::kSteady
+                              load.scenario != Scenario::kSteady
                           ? " (noisy)"
                           : ""),
-           util::strf("%llu", static_cast<unsigned long long>(c.clients)),
-           util::strf("%llu", static_cast<unsigned long long>(s.submitted)),
-           util::strf("%llu", static_cast<unsigned long long>(c.ok)),
-           util::strf("%llu",
-                      static_cast<unsigned long long>(s.rejected_rate)),
-           util::strf("%llu",
-                      static_cast<unsigned long long>(s.rejected_quota)),
-           util::strf("%llu", static_cast<unsigned long long>(s.quota_used)),
-           bench::ms(tally_quantile(c.lats, 0.5)),
+           num(c.clients), num(s.submitted), num(c.ok),
+           num(s.rejected_rate), num(s.rejected_quota),
+           num(s.quota_used), bench::ms(tally_quantile(c.lats, 0.5)),
            bench::ms(tally_quantile(c.lats, 0.99)),
            util::strf("%.1f%%", success * 100.0)});
       // Fairness: every compliant tenant must keep >= 90% of its requests
       // landing kOk while the noisy tenant is throttled.
-      if (scenario != Scenario::kSteady && s.tenant != kNoisyTenant &&
+      if (load.scenario != Scenario::kSteady && s.tenant != kNoisyTenant &&
           seen > 0 && success < 0.9) {
         fairness_ok = false;
       }
@@ -1293,7 +932,7 @@ int main(int argc, char** argv) {
     // The scenarios' contract (the qos-fairness CI gate): the injected
     // noisy tenant must actually get throttled, and it must top the
     // offender report.
-    if (scenario != Scenario::kSteady) {
+    if (load.scenario != Scenario::kSteady) {
       if (stats.rejected_quota == 0 || offenders.empty() ||
           offenders.front().tenant != kNoisyTenant) {
         fairness_ok = false;
@@ -1306,34 +945,12 @@ int main(int argc, char** argv) {
   {
     // Flat perf summary (BENCH_serve.json in CI): wall throughput and tail
     // latency, one parseable file per run.
-    bench::BenchJson json;
-    json.add("bench", std::string("serve_load"));
+    bench::BenchJson json = load_json(
+        "serve_load", load, run, static_cast<double>(stats.numbers_served));
     json.add("backend", opts.backend);
-    json.add("simd_kernel", std::string(simd::kernel_name()));
-    json.add("simd_lanes", static_cast<double>(simd::lane_width_u32()));
-    json.add("clients", static_cast<double>(clients));
-    json.add("requests_per_client", static_cast<double>(requests));
-    json.add("words_per_request", static_cast<double>(words));
-    json.add("inflight", static_cast<double>(inflight));
-    json.add("wall_seconds", wall_seconds);
-    json.add("requests_ok", static_cast<double>(ok.load()));
-    json.add("requests_failed", static_cast<double>(failed.load()));
-    json.add("scenario", std::string(scenario_name(scenario)));
-    json.add("tenants", static_cast<double>(tenants_n));
     json.add("rejected_quota", static_cast<double>(stats.rejected_quota));
     json.add("backend_passes", static_cast<double>(stats.batches));
     json.add("numbers_served", static_cast<double>(stats.numbers_served));
-    json.add("wall_req_per_s",
-             wall_seconds > 0.0
-                 ? static_cast<double>(ok.load()) / wall_seconds
-                 : 0.0);
-    json.add("wall_words_per_s",
-             wall_seconds > 0.0
-                 ? static_cast<double>(stats.numbers_served) / wall_seconds
-                 : 0.0);
-    json.add("latency_p50_s", lat_p50);
-    json.add("latency_p99_s", lat_p99);
-    json.add("latency_max_s", lat_max);
     json.add("queue_wait_p99_s", qw_p99);
     if (quality_report.has_value()) {
       json.add("scrub_tier", static_cast<double>(quality_report->tier));
@@ -1370,15 +987,232 @@ int main(int argc, char** argv) {
 
   const std::string tenant_json = cli.get_string("tenant-json", "");
   if (!tenant_json.empty()) {
-    write_tenant_json(tenant_json, scenario, tenant_stats, per_tenant,
+    write_tenant_json(tenant_json, load.scenario, tenant_stats, per_tenant,
                       offenders);
   }
   if (!bench::reject_unread_flags(cli)) return 2;
 
   const bool shape = conserved && leases_clean && coalesced &&
-                     ok.load() > 0 && fairness_ok;
+                     run.all.ok > 0 && fairness_ok;
   bench::verdict(shape, "every request reaches one terminal status, leases "
                         "reclaim cleanly, batching coalesces requests, and "
                         "tenant QoS isolates the compliant population");
   return shape ? 0 : 1;
+}
+
+// ---------------------------------------------------------------------------
+// Wire mode: NetClient connections against an in-process NetServer
+// (--listen) or an external serve_net (--connect), with lease adoption,
+// server-side lease accounting over kStat and the frame counters.
+
+int wire_mode(const util::Cli& cli, const Load& load,
+              fault::Injector* injector) {
+  const bool keep_leases = cli.has("keep-leases");
+  const bool adopt = cli.has("adopt");
+  std::string endpoint = cli.get_string("connect", "");
+  const bool in_process = endpoint.empty();
+
+  obs::MetricsRegistry metrics;
+  // --listen: the server half lives in this process (still a real socket
+  // round trip — the wire cost is what this mode measures).
+  std::unique_ptr<serve::RngService> service;
+  std::unique_ptr<net::NetServer> server;
+  if (in_process) {
+    serve::ServiceOptions opts;
+    if (!bench::read_service_shape(
+            cli, static_cast<std::uint64_t>(load.clients), &opts)) {
+      return 2;
+    }
+    opts.injector = injector;
+    apply_scenario(load.scenario, load.words, load.noisy_offered_words,
+                   &opts.tenants);
+    service = std::make_unique<serve::RngService>(opts, &metrics);
+
+    net::ServerOptions sopts;
+    sopts.listen = {cli.get_string("listen", "")};
+    sopts.max_pending_fills = cli.get_u64("max-pending-fills", 64);
+    sopts.injector = injector;
+    server = std::make_unique<net::NetServer>(*service, sopts, &metrics);
+    if (!server->ok()) {
+      std::fprintf(stderr, "cannot listen on %s: %s\n",
+                   sopts.listen.front().c_str(), server->error().c_str());
+      return 2;
+    }
+    endpoint = server->endpoints().front();
+  }
+
+  bench::banner(
+      "serve_load — wire-mode serving bench (docs/NETWORK.md)",
+      "RNG-as-a-service holds its serving contract when every fill "
+      "crosses a socket: leases, backpressure and adoption are protocol "
+      "messages",
+      util::strf("%d clients x %d requests x %zu words (%d in flight) over "
+                 "%s (%s, %s loop%s)",
+                 load.clients, load.requests, load.words, load.inflight,
+                 endpoint.c_str(),
+                 in_process ? "in-process server" : "external server",
+                 load.open_loop ? "open" : "closed",
+                 load.open_loop
+                     ? util::strf(", %.0f req/s Poisson", load.rate).c_str()
+                     : "")
+          .c_str());
+  print_load_notes(load, injector);
+
+  net::ClientOptions copts;
+  copts.endpoint = endpoint;
+  copts.metrics = &metrics;
+  copts.timeout = std::chrono::milliseconds(cli.get_u64("timeout-ms", 30000));
+
+  // --adopt: the restart-demo second half — claim the restored generation's
+  // leases before opening any fresh ones.
+  std::vector<std::uint64_t> adoptable;
+  {
+    net::ClientOptions bopts = copts;
+    bopts.name = "serve_load-bootstrap";
+    net::NetClient bootstrap(bopts);
+    std::string err;
+    if (!bootstrap.connect(&err)) {
+      std::fprintf(stderr, "cannot reach %s: %s\n", endpoint.c_str(),
+                   err.c_str());
+      return 2;
+    }
+    if (adopt) adoptable = bootstrap.adoptables(&err);
+  }
+
+  std::deque<NetPort> ports;
+  for (int c = 0; c < load.clients; ++c) {
+    net::ClientOptions my = copts;
+    my.name = util::strf("serve_load#%d", c);
+    my.tenant = load.tenant_of[static_cast<std::size_t>(c)];
+    NetPort& port = ports.emplace_back(my);
+    std::string err;
+    if (static_cast<std::size_t>(c) < adoptable.size()) {
+      port.lease = adoptable[static_cast<std::size_t>(c)];
+      if (!port.client.adopt(port.lease, &err)) {
+        std::fprintf(stderr, "client %d: adopt(%llu) failed: %s\n", c,
+                     static_cast<unsigned long long>(port.lease), err.c_str());
+        return 2;
+      }
+    } else {
+      const std::optional<std::uint64_t> fresh = port.client.lease(&err);
+      if (!fresh.has_value()) {
+        std::fprintf(stderr, "client %d: lease failed: %s\n", c, err.c_str());
+        return 2;
+      }
+      port.lease = *fresh;
+    }
+  }
+
+  const LoadRun run = run_load(load, ports);
+
+  std::uint64_t reconnects = 0, adoptions = 0;
+  for (NetPort& p : ports) {
+    if (!keep_leases) p.client.release(p.lease);
+    reconnects += p.client.stats().reconnects;
+    adoptions += p.client.stats().adoptions;
+  }
+  ports.clear();  // close the connections: kept leases park as orphans
+
+  // Server-side view at the quiescent fence: protocol stats over the wire
+  // (works for both servers), wire-layer stats directly when in-process.
+  std::optional<net::NetStats> sstats;
+  {
+    net::ClientOptions bopts = copts;
+    bopts.name = "serve_load-stat";
+    net::NetClient bootstrap(bopts);
+    sstats = bootstrap.stat();
+  }
+
+  util::Table t = load_table(
+      load, run,
+      static_cast<double>(run.all.ok) * static_cast<double>(load.words));
+  t.add_row({"client reconnects", num(reconnects)});
+  if (adopt) t.add_row({"adopted leases", num(adoptions)});
+  if (sstats.has_value()) {
+    t.add_row({"server numbers served", num(sstats->numbers_served)});
+    t.add_row({"server active leases", num(sstats->active_leases)});
+    t.add_row({"server adoptable leases", num(sstats->adoptable)});
+    if (load.tenants > 1) {
+      t.add_row({"server rejected (quota/rate)",
+                 num(sstats->rejected_quota)});
+    }
+  }
+  std::printf("%s", t.to_string().c_str());
+
+  net::NetServer::Stats wire{};
+  if (server != nullptr) {
+    wire = server->stats();
+    std::printf("\nwire: frames_rx=%llu frames_tx=%llu bytes_rx=%llu "
+                "bytes_tx=%llu frame_errors=%llu fills_rejected=%llu\n",
+                static_cast<unsigned long long>(wire.frames_rx),
+                static_cast<unsigned long long>(wire.frames_tx),
+                static_cast<unsigned long long>(wire.bytes_rx),
+                static_cast<unsigned long long>(wire.bytes_tx),
+                static_cast<unsigned long long>(wire.frame_errors),
+                static_cast<unsigned long long>(wire.fills_rejected));
+  }
+
+  bench::export_metrics_json(cli, metrics);
+  {
+    // BENCH_net.json: the wire-serving perf artifact (docs/PERFORMANCE.md;
+    // baseline snapshot in bench/baselines/).
+    bench::BenchJson json = load_json(
+        "serve_load_net", load, run,
+        static_cast<double>(run.all.ok) * static_cast<double>(load.words));
+    json.add("mode", std::string(in_process ? "listen" : "connect"));
+    json.add("endpoint", endpoint);
+    json.add("client_reconnects", static_cast<double>(reconnects));
+    json.add("frames_rx", static_cast<double>(wire.frames_rx));
+    json.add("frames_tx", static_cast<double>(wire.frames_tx));
+    json.add("frame_errors", static_cast<double>(wire.frame_errors));
+    bench::export_bench_json(cli, json);
+  }
+  if (!bench::reject_unread_flags(cli)) return 2;
+
+  // Shape: without an injected fault plan (or a scenario that rejects by
+  // design), every request must land kOk; leases reclaim (or deliberately
+  // persist with --keep-leases).
+  const bool clean_requests =
+      injector != nullptr || load.scenario != Scenario::kSteady
+          ? run.all.ok > 0
+          : run.all.failed == 0 && run.all.ok > 0;
+  const bool leases_accounted =
+      !sstats.has_value() ||
+      (keep_leases ? sstats->active_leases + sstats->adoptable >= 1
+                   : sstats->active_leases == 0);
+  const bool shape = clean_requests && leases_accounted;
+  bench::verdict(shape,
+                 "wire fills land kOk end-to-end and leases are accounted "
+                 "for (released, or parked for adoption)");
+  if (server != nullptr) server->stop();
+  return shape ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::Cli cli(argc, argv);
+  if (cli.has("help")) {
+    print_help();
+    return 0;
+  }
+  // Removed flags: fail loudly rather than silently run another shape.
+  if (cli.has("completers")) {
+    std::fprintf(stderr, "--completers was removed: the server replies "
+                         "from its one loop thread\n");
+    return 2;
+  }
+  if (cli.has("scrub-workers")) {
+    std::fprintf(stderr, "--scrub-workers was removed: smoke draws run in "
+                         "stream order on the scrub thread\n");
+    return 2;
+  }
+  if (!apply_simd_flag(cli)) return 2;
+  const bool wire = cli.has("listen") || cli.has("connect");
+  Load load;
+  if (!read_load(cli, wire ? 8 : 32, &load)) return 2;
+  std::optional<fault::Injector> injector;
+  if (!bench::read_fault_plan(cli, &injector)) return 2;
+  fault::Injector* inj = injector.has_value() ? &*injector : nullptr;
+  return wire ? wire_mode(cli, load, inj) : local_mode(cli, load, inj);
 }

@@ -32,7 +32,7 @@
 //
 // Flags: --listen=EP[,EP...] (unix:PATH | tcp:HOST:PORT)
 //        --backend --shards --slots --workers --capacity --coalesce
-//        --timeout-ms --seed
+//        --walk-len --timeout-ms --seed
 //        --max-pending-fills
 //        --restore-from=<path>     rebuild from a snapshot; listen
 //                                  endpoints come from <path>.net unless
@@ -64,7 +64,6 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
-#include "serve/backend.hpp"
 #include "serve/service.hpp"
 #include "state/checkpointer.hpp"
 #include "state/sections.hpp"
@@ -79,15 +78,6 @@ std::atomic<int> g_signal{0};
 
 void on_signal(int sig) { g_signal.store(sig); }
 
-std::string backend_values() {
-  std::string out;
-  for (const std::string& name : serve::known_backends()) {
-    if (!out.empty()) out += '|';
-    out += name;
-  }
-  return out;
-}
-
 void print_help() {
   std::printf(
       "serve_net — standalone RNG-as-a-service wire server "
@@ -97,7 +87,7 @@ void print_help() {
       "kernel-assigned)\n"
       "  --backend=%s\n"
       "  --shards=N --slots=N --workers=N --capacity=N --coalesce=N\n"
-      "  --timeout-ms=MS --seed=S\n"
+      "  --walk-len=N --timeout-ms=MS --seed=S\n"
       "  --max-pending-fills=N\n"
       "  --restore-from=PATH    rebuild from a snapshot; endpoints come\n"
       "                         from PATH.net unless --listen is given\n"
@@ -107,7 +97,7 @@ void print_help() {
       "  --drain-timeout-ms=MS  quiescence cap during shutdown (5000)\n"
       "  --fault-plan=PLAN      deterministic chaos (docs/FAULTS.md §3)\n"
       "  --metrics-json=PATH --bench-json=PATH --help\n",
-      backend_values().c_str());
+      bench::backend_values().c_str());
 }
 
 std::vector<std::string> split_endpoints(const std::string& csv) {
@@ -191,16 +181,7 @@ int main(int argc, char** argv) {
 
   // Deterministic chaos: same plan grammar as every other harness.
   std::optional<fault::Injector> injector;
-  const std::string plan_text = cli.get_string("fault-plan", "");
-  if (!plan_text.empty()) {
-    std::string perr;
-    auto plan = fault::FaultPlan::parse(plan_text, &perr);
-    if (!plan.has_value()) {
-      std::fprintf(stderr, "serve_net: bad --fault-plan: %s\n", perr.c_str());
-      return 2;
-    }
-    injector.emplace(*plan);
-  }
+  if (!bench::read_fault_plan(cli, &injector)) return 2;
   fault::Injector* inj = injector.has_value() ? &*injector : nullptr;
 
   // --- Build the service: fresh from flags, or restored from a snapshot.
@@ -236,20 +217,8 @@ int main(int argc, char** argv) {
                 owned->num_shards(), owned->adoptable_lease_ids().size());
   } else {
     serve::ServiceOptions opts;
-    opts.backend = cli.get_string("backend", "hybrid");
-    if (!serve::backend_known(opts.backend)) {
-      std::fprintf(stderr, "serve_net: unknown --backend=%s (known: %s)\n",
-                   opts.backend.c_str(), backend_values().c_str());
-      return 2;
-    }
-    opts.num_shards = static_cast<int>(cli.get_u64("shards", 4));
-    opts.max_leases_per_shard = cli.get_u64("slots", 16);
-    opts.num_workers = static_cast<int>(cli.get_u64("workers", 4));
-    opts.queue_capacity = cli.get_u64("capacity", 256);
-    opts.max_coalesce = cli.get_u64("coalesce", 8);
-    opts.seed = cli.get_u64("seed", 0x243F6A8885A308D3ull);
-    opts.default_timeout =
-        std::chrono::milliseconds(cli.get_u64("timeout-ms", 30000));
+    opts.max_leases_per_shard = 16;  // the default --slots
+    if (!bench::read_service_shape(cli, 0, &opts)) return 2;
     opts.injector = inj;
     owned = std::make_unique<serve::RngService>(opts, &registry);
   }

@@ -124,6 +124,7 @@ int main(int argc, char** argv) {
 
   const bool hybrid_fastest = rank[0] == 1;
   const bool glibc_slowest = rank[4] == 5;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(hybrid_fastest && glibc_slowest,
                  "hybrid ranks 1st, glibc rand() ranks 5th, hybrid is the "
                  "only PRNG with all four properties");

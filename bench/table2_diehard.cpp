@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   const bool shape = hybrid_passed >= 14 &&
                      hybrid_passed >= curand_passed &&
                      hybrid_passed >= glibc_passed;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "hybrid passes (nearly) everything and is never worse "
                  "than CURAND or glibc rand()");

@@ -68,6 +68,7 @@ int main(int argc, char** argv) {
   bench::export_metrics_json(cli, metrics);
 
   const bool shape = min_passed >= 13;
+  if (!bench::reject_unread_flags(cli)) return 2;
   bench::verdict(shape,
                  "every generator passes >= 13/15 at every tier, like the "
                  "paper's 13-15 range");

@@ -6,6 +6,8 @@
 // Usage: ./build/examples/list_ranking [--n=200000] [--seed=7]
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/hybrid_prng.hpp"
 #include "listrank/hybrid_rank.hpp"
@@ -21,6 +23,11 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const auto n = static_cast<std::uint32_t>(cli.get_u64("n", 200000));
   const std::uint64_t seed = cli.get_u64("seed", 7);
+  const std::vector<std::string> unread = cli.unread();
+  for (const std::string& key : unread) {
+    std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+  }
+  if (!unread.empty()) return 2;
 
   auto list_rng = prng::make_by_name("mt19937", seed);
   std::printf("building a random list of %u nodes...\n", n);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/hybrid_prng.hpp"
@@ -17,6 +18,11 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const std::uint64_t threads = cli.get_u64("threads", 4096);
   const std::uint64_t darts = cli.get_u64("darts", 64);
+  const std::vector<std::string> unread = cli.unread();
+  for (const std::string& key : unread) {
+    std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+  }
+  if (!unread.empty()) return 2;
 
   sim::Device dev;
   core::HybridPrng prng(dev);

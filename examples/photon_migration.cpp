@@ -6,6 +6,8 @@
 // Usage: ./build/examples/photon_migration [--photons=100000]
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/hybrid_prng.hpp"
 #include "photon/mc.hpp"
@@ -17,6 +19,11 @@ int main(int argc, char** argv) {
   using namespace hprng;
   util::Cli cli(argc, argv);
   const std::uint64_t photons = cli.get_u64("photons", 100000);
+  const std::vector<std::string> unread = cli.unread();
+  for (const std::string& key : unread) {
+    std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+  }
+  if (!unread.empty()) return 2;
 
   const auto tissue = photon::Tissue::three_layer();
   std::printf("3-layer tissue (depths in cm, coefficients in 1/cm):\n");

@@ -8,6 +8,8 @@
 //        [--trials=20000] [--steps=16]
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "expander/amplifier.hpp"
 #include "prng/registry.hpp"
@@ -20,6 +22,11 @@ int main(int argc, char** argv) {
   const double beta = cli.get_double("beta", 0.2);
   const int trials = static_cast<int>(cli.get_u64("trials", 20000));
   const int steps = static_cast<int>(cli.get_u64("steps", 16));
+  const std::vector<std::string> unread = cli.unread();
+  for (const std::string& key : unread) {
+    std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+  }
+  if (!unread.empty()) return 2;
 
   std::printf("bad-set density beta = %.2f, %d trials, %d walk steps "
               "between samples\n\n",

@@ -132,11 +132,6 @@ ServerInfo NetClient::server_info() const {
   return info_;
 }
 
-std::vector<std::uint64_t> NetClient::held_leases() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return {held_.begin(), held_.end()};
-}
-
 NetClient::Stats NetClient::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;

@@ -131,8 +131,6 @@ class NetClient {
   bool adopt(std::uint64_t lease_id, std::string* error = nullptr);
   /// Lease ids the server would let us adopt right now.
   std::vector<std::uint64_t> adoptables(std::string* error = nullptr);
-  /// Lease ids this client currently holds (local book-keeping).
-  [[nodiscard]] std::vector<std::uint64_t> held_leases() const;
 
   // -- Fills ----------------------------------------------------------------
 

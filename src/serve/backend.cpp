@@ -1,10 +1,11 @@
 #include "serve/backend.hpp"
 
+#include <functional>
 #include <utility>
 #include <vector>
 
-#include "core/cpu_walk_prng.hpp"
 #include "core/hybrid_prng.hpp"
+#include "core/quality_streams.hpp"
 #include "obs/metrics.hpp"
 #include "prng/registry.hpp"
 #include "prng/seed_seq.hpp"
@@ -127,69 +128,6 @@ class HybridShard final : public ShardBackend {
   std::vector<core::HybridPrng::LeasedDraw> draws_;
 };
 
-/// The paper's CPU-only variant: one CpuWalkPrng per slot, seeded from the
-/// lease's SeedSequence-derived client seed.
-class CpuWalkShard final : public ShardBackend {
- public:
-  explicit CpuWalkShard(const ServiceOptions& opts) {
-    cfg_.walk_len = opts.walk_len;
-    slots_.resize(static_cast<std::size_t>(opts.max_leases_per_shard));
-    metas_.resize(slots_.size());
-  }
-
-  void attach(std::uint64_t slot, std::uint64_t client_seed) override {
-    slots_.at(static_cast<std::size_t>(slot)) =
-        std::make_unique<core::CpuWalkPrng>(client_seed, cfg_);
-    metas_.at(static_cast<std::size_t>(slot)) = {true, client_seed, 0};
-  }
-
-  void detach(std::uint64_t slot) override {
-    slots_.at(static_cast<std::size_t>(slot)).reset();
-    metas_.at(static_cast<std::size_t>(slot)) = {};
-  }
-
-  FillResult fill(std::span<const Fill> fills) override {
-    for (const Fill& f : fills) {
-      core::CpuWalkPrng* g = slots_.at(static_cast<std::size_t>(f.slot)).get();
-      HPRNG_CHECK(g != nullptr, "CpuWalkShard::fill: slot not attached");
-      for (std::uint64_t& out : f.out) out = g->next_u64();
-      metas_.at(static_cast<std::size_t>(f.slot)).draws += f.out.size();
-    }
-    return {};
-  }
-
-  bool save_state(state::SnapshotWriter& writer,
-                  std::string* error) const override {
-    (void)error;
-    save_slot_metas(writer, metas_);
-    return true;
-  }
-
-  bool load_state(state::SectionReader& reader, std::string* error) override {
-    std::vector<SlotMeta> metas;
-    if (!load_slot_metas(reader, slots_.size(), &metas, error)) return false;
-    // CpuWalkPrng::discard() is documented draw-exact (the lease
-    // reclamation contract), so seed + replay lands on the same vertex.
-    for (std::size_t s = 0; s < metas.size(); ++s) {
-      if (!metas[s].attached) {
-        slots_[s].reset();
-        continue;
-      }
-      slots_[s] = std::make_unique<core::CpuWalkPrng>(metas[s].seed, cfg_);
-      slots_[s]->discard(metas[s].draws);
-    }
-    metas_ = std::move(metas);
-    return true;
-  }
-
-  [[nodiscard]] std::string name() const override { return "cpu-walk"; }
-
- private:
-  core::CpuWalkConfig cfg_;
-  std::vector<std::unique_ptr<core::CpuWalkPrng>> slots_;
-  std::vector<SlotMeta> metas_;
-};
-
 /// Counter backends ("philox", "md5-counter"): one stateless block
 /// function per shard, one CounterStream coordinate per slot. Everything
 /// a walk backend does with stored state, this family does with
@@ -292,19 +230,23 @@ class CounterShard final : public ShardBackend {
   obs::Counter* counter_jumps_ = nullptr;
 };
 
-/// Any registry baseline ("mt19937", "xorwow", ...): one generator
-/// instance per slot — the apples-to-apples comparison backend.
+/// One seeded generator instance per slot, seeded from the lease's
+/// SeedSequence-derived client seed: any registry baseline ("mt19937",
+/// "xorwow", ...) — the apples-to-apples comparison backend — and the
+/// paper's CPU-only variant "cpu-walk" (one CpuWalkPrng per slot).
 class BaselineShard final : public ShardBackend {
  public:
-  BaselineShard(const ServiceOptions& opts, std::string generator)
-      : generator_(std::move(generator)) {
+  using Factory =
+      std::function<std::unique_ptr<prng::Generator>(std::uint64_t seed)>;
+
+  BaselineShard(const ServiceOptions& opts, std::string name, Factory make)
+      : name_(std::move(name)), make_(std::move(make)) {
     slots_.resize(static_cast<std::size_t>(opts.max_leases_per_shard));
     metas_.resize(slots_.size());
   }
 
   void attach(std::uint64_t slot, std::uint64_t client_seed) override {
-    slots_.at(static_cast<std::size_t>(slot)) =
-        prng::make_by_name(generator_, client_seed);
+    slots_.at(static_cast<std::size_t>(slot)) = make_(client_seed);
     metas_.at(static_cast<std::size_t>(slot)) = {true, client_seed, 0};
   }
 
@@ -341,7 +283,7 @@ class BaselineShard final : public ShardBackend {
         slots_[s].reset();
         continue;
       }
-      slots_[s] = prng::make_by_name(generator_, metas[s].seed);
+      slots_[s] = make_(metas[s].seed);
       for (std::uint64_t d = 0; d < metas[s].draws; ++d) {
         (void)slots_[s]->next_u64();
       }
@@ -350,10 +292,11 @@ class BaselineShard final : public ShardBackend {
     return true;
   }
 
-  [[nodiscard]] std::string name() const override { return generator_; }
+  [[nodiscard]] std::string name() const override { return name_; }
 
  private:
-  std::string generator_;
+  std::string name_;
+  Factory make_;
   std::vector<std::unique_ptr<prng::Generator>> slots_;
   std::vector<SlotMeta> metas_;
 };
@@ -373,7 +316,12 @@ std::unique_ptr<ShardBackend> make_shard_backend(const ServiceOptions& opts,
     return std::make_unique<HybridShard>(opts, shard_seed);
   }
   if (opts.backend == "cpu-walk") {
-    return std::make_unique<CpuWalkShard>(opts);
+    core::CpuWalkConfig cfg;
+    cfg.walk_len = opts.walk_len;
+    return std::make_unique<BaselineShard>(
+        opts, opts.backend, [cfg](std::uint64_t seed) {
+          return core::make_hybrid_stream(seed, cfg);
+        });
   }
   if (auto engine = make_counter_backend(opts.backend)) {
     return std::make_unique<CounterShard>(opts, shard_seed, std::move(engine));
@@ -381,7 +329,10 @@ std::unique_ptr<ShardBackend> make_shard_backend(const ServiceOptions& opts,
   HPRNG_CHECK(backend_known(opts.backend),
               ("make_shard_backend: unknown backend '" + opts.backend + "'")
                   .c_str());
-  return std::make_unique<BaselineShard>(opts, opts.backend);
+  return std::make_unique<BaselineShard>(
+      opts, opts.backend, [name = opts.backend](std::uint64_t seed) {
+        return prng::make_by_name(name, seed);
+      });
 }
 
 std::vector<std::string> known_backends() {

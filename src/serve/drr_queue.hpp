@@ -167,11 +167,6 @@ class DrrQueue {
     return total_;
   }
 
-  [[nodiscard]] bool closed() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return closed_;
-  }
-
   /// Scheduler visits so far (exact at quiescent fences).
   [[nodiscard]] std::uint64_t rounds() const {
     std::lock_guard<std::mutex> lk(mu_);

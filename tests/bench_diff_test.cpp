@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,55 @@ TEST(DiffBenchTest, CommittedBaselinesAreParseableAndGateable) {
     const DiffResult self = diff_bench(f, f, {key}, 1.0);
     EXPECT_FALSE(self.regressed()) << file << " key " << key;
   }
+}
+
+// The flag helpers the serving binaries share (bench/common.hpp).
+hprng::util::Cli cli_of(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return hprng::util::Cli(static_cast<int>(args.size()),
+                          const_cast<char**>(args.data()));
+}
+
+TEST(BenchFlagsTest, ServiceShapeSizesDefaultSlotsForTheLeaseDemand) {
+  using hprng::bench::read_service_shape;
+  hprng::serve::ServiceOptions opts;
+  ASSERT_TRUE(read_service_shape(
+      cli_of({"--backend=cpu-walk", "--shards=3", "--walk-len=32"}), 7,
+      &opts));
+  EXPECT_EQ(opts.backend, "cpu-walk");
+  EXPECT_EQ(opts.num_shards, 3);
+  EXPECT_EQ(opts.max_leases_per_shard, 3u);  // 7 leases over 3 shards
+  EXPECT_EQ(opts.walk_len, 32);
+
+  hprng::serve::ServiceOptions fixed;
+  fixed.max_leases_per_shard = 16;
+  ASSERT_TRUE(read_service_shape(cli_of({"--shards=2"}), 0, &fixed));
+  EXPECT_EQ(fixed.max_leases_per_shard, 16u);  // demand 0 keeps the count
+  ASSERT_TRUE(read_service_shape(cli_of({"--slots=5"}), 100, &fixed));
+  EXPECT_EQ(fixed.max_leases_per_shard, 5u);
+
+  EXPECT_FALSE(read_service_shape(cli_of({"--backend=nope"}), 1, &opts));
+}
+
+TEST(BenchFlagsTest, FaultPlanAndUnreadFlagsAreChecked) {
+  std::optional<hprng::fault::Injector> injector;
+  ASSERT_TRUE(hprng::bench::read_fault_plan(cli_of({}), &injector));
+  EXPECT_FALSE(injector.has_value());
+  ASSERT_TRUE(hprng::bench::read_fault_plan(
+      cli_of({"--fault-plan=shard:1:fail:0:4"}), &injector));
+  ASSERT_TRUE(injector.has_value());
+  EXPECT_EQ(injector->plan().to_string(), "shard:1:fail:0:4");
+  std::optional<hprng::fault::Injector> bad;
+  EXPECT_FALSE(hprng::bench::read_fault_plan(
+      cli_of({"--fault-plan=shard:x"}), &bad));
+  EXPECT_FALSE(bad.has_value());
+
+  // What every strict binary does after its last flag read.
+  const hprng::util::Cli cli = cli_of({"--n=4", "--bogus-flag"});
+  EXPECT_EQ(cli.get_u64("n", 0), 4u);
+  EXPECT_FALSE(hprng::bench::reject_unread_flags(cli));
+  EXPECT_TRUE(cli.has("bogus-flag"));
+  EXPECT_TRUE(hprng::bench::reject_unread_flags(cli));
 }
 
 }  // namespace
